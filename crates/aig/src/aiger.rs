@@ -84,10 +84,15 @@ impl Aig {
         if l != 0 {
             return Err(ParseAagError::LatchesUnsupported);
         }
+        // Every declared variable must fit a `u32` literal (`2 · var + 1`).
+        let max_var = i
+            .checked_add(a)
+            .filter(|&v| v <= (u32::MAX >> 1) as usize)
+            .ok_or_else(|| ParseAagError::BadHeader(header.clone()))?;
 
         let mut aig = Aig::new(i);
         // Map from file variable index to our literal.
-        let mut map: Vec<Option<Lit>> = vec![None; 1 + i + a];
+        let mut map: Vec<Option<Lit>> = vec![None; max_var + 1];
         map[0] = Some(Lit::FALSE);
 
         let next_line = |lines: &mut dyn Iterator<Item = (usize, std::io::Result<String>)>|
@@ -245,6 +250,24 @@ mod tests {
             Aig::read_aag("not an aag".as_bytes()),
             Err(ParseAagError::BadHeader(_))
         ));
+    }
+
+    #[test]
+    fn rejects_header_counts_beyond_the_literal_range() {
+        // `i + a` overflowing `usize` used to wrap and index out of bounds.
+        for text in [
+            "aag 0 0 0 0 18446744073709551615\n",
+            "aag 0 1 0 0 18446744073709551615\n",
+            "aag 0 0 0 0 2147483648\n",
+        ] {
+            assert!(
+                matches!(
+                    Aig::read_aag(text.as_bytes()),
+                    Err(ParseAagError::BadHeader(_))
+                ),
+                "{text:?}"
+            );
+        }
     }
 
     #[test]

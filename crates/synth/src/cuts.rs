@@ -151,8 +151,8 @@ pub(crate) fn reconv_cut(aig: &Aig, root: usize, max_leaves: usize) -> Vec<usize
 /// # Panics
 ///
 /// Panics if the cone escapes the leaf set (not a valid cut).
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn cone_above(aig: &Aig, root: usize, leaves: &[usize]) -> Vec<usize> {
+#[cfg(test)]
+fn cone_above(aig: &Aig, root: usize, leaves: &[usize]) -> Vec<usize> {
     let mut cone = Vec::new();
     let mut visited = vec![false; aig.num_nodes()];
     fn visit(

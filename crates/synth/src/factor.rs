@@ -140,12 +140,10 @@ fn shannon_rec(aig: &mut Aig, f: &Tt) -> Lit {
     if let Some(lit) = trivial_function(aig, f) {
         return lit;
     }
-    let support = f.support();
     // Choose the variable whose cofactors have the smallest joint support.
-    let x = support
-        .iter()
-        .copied()
-        .min_by_key(|&v| f.cofactor0(v).support().len() + f.cofactor1(v).support().len())
+    let x = f
+        .support()
+        .min_by_key(|&v| f.cofactor0(v).support().count() + f.cofactor1(v).support().count())
         .expect("non-trivial function has support");
     let f0 = shannon_rec(aig, &f.cofactor0(x));
     let f1 = shannon_rec(aig, &f.cofactor1(x));
@@ -200,11 +198,9 @@ fn dsd_rec(aig: &mut Aig, f: &Tt) -> Lit {
         }
     }
     // Prime function: Shannon-expand one level and keep peeling below.
-    let support = f.support();
-    let x = support
-        .iter()
-        .copied()
-        .min_by_key(|&v| f.cofactor0(v).support().len() + f.cofactor1(v).support().len())
+    let x = f
+        .support()
+        .min_by_key(|&v| f.cofactor0(v).support().count() + f.cofactor1(v).support().count())
         .expect("non-trivial function has support");
     let f0 = dsd_rec(aig, &f.cofactor0(x));
     let f1 = dsd_rec(aig, &f.cofactor1(x));
@@ -219,9 +215,8 @@ fn trivial_function(aig: &mut Aig, f: &Tt) -> Option<Lit> {
     if f.is_one() {
         return Some(Lit::TRUE);
     }
-    let support = f.support();
-    if support.len() == 1 {
-        let v = support[0];
+    let mut support = f.support();
+    if let (Some(v), None) = (support.next(), support.next()) {
         let lit = aig.pi(v);
         return if *f == Tt::var(f.num_vars(), v) {
             Some(lit)
@@ -236,7 +231,7 @@ fn trivial_function(aig: &mut Aig, f: &Tt) -> Option<Lit> {
 #[cfg(test)]
 fn template_function(template: &Aig) -> Tt {
     let tts = template.simulate_exhaustive();
-    Tt::from_words(template.num_pis(), tts[0].clone())
+    Tt::from_words(template.num_pis(), &tts[0])
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Cone refactoring (ABC `refactor` / `refactor -z`).
 //!
 //! Where rewriting works on 4-input cuts, refactoring collects a large
-//! reconvergence-driven cut (up to 10 leaves), computes its function and
+//! reconvergence-driven cut (up to 8 leaves), computes its function and
 //! resynthesises the whole cone from a factored ISOP — capable of jumps the
 //! local 4-cut rewriting cannot make.
 
@@ -12,7 +12,7 @@ use boils_aig::Aig;
 use crate::cuts::reconv_cut;
 use crate::factor::tt_to_factored_template;
 use crate::rebuild::{count_new_nodes, cut_mffc, rebuild_with, Replacement};
-use crate::tt::cone_function;
+use crate::tt::{cone_function, Tt, WindowTts};
 
 /// Maximum leaves of the reconvergence-driven cut (ABC defaults to 10; 8
 /// keeps the truth-table work four times cheaper at equal behaviour on the
@@ -52,7 +52,8 @@ pub fn refactor(aig: &Aig, use_zero_cost: bool) -> Aig {
     let mut replacements: HashMap<usize, Replacement> = HashMap::new();
     // Arithmetic circuits repeat cone functions massively; caching the
     // synthesised template per truth table is the dominant speedup here.
-    let mut cache: HashMap<crate::tt::Tt, Aig> = HashMap::new();
+    let mut cache: HashMap<Tt, Aig> = HashMap::new();
+    let mut scratch = WindowTts::new(aig.num_nodes());
 
     for var in aig.ands() {
         if blocked[var] {
@@ -69,16 +70,16 @@ pub fn refactor(aig: &Aig, use_zero_cost: bool) -> Aig {
                 continue;
             }
         }
-        let tt = cone_function(&aig, var, &cut);
+        let tt = cone_function(&aig, var, &cut, &mut scratch);
         let template = cache
-            .entry(tt.clone())
+            .entry(tt)
             .or_insert_with(|| tt_to_factored_template(&tt))
             .clone();
+        let (saved, dying) = cut_mffc(&aig, var, &cut, &mut refs);
         let repl = Replacement {
-            leaves: cut.clone(),
+            leaves: cut,
             template,
         };
-        let (saved, dying) = cut_mffc(&aig, var, &cut, &mut refs);
         for &d in &dying {
             blocked[d] = true;
         }

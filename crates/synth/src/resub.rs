@@ -12,7 +12,7 @@ use boils_aig::{Aig, Lit};
 
 use crate::cuts::reconv_cut;
 use crate::rebuild::{cut_mffc, rebuild_with, Replacement};
-use crate::tt::Tt;
+use crate::tt::{Tt, WindowTts};
 
 /// Maximum window leaves (truth tables stay ≤ 2^8 bits = 4 words).
 const MAX_LEAVES: usize = 8;
@@ -48,6 +48,10 @@ pub fn resub(aig: &Aig, use_zero_cost: bool) -> Aig {
     let mut refs = aig.fanout_counts();
     let mut blocked = vec![false; aig.num_nodes()];
     let mut replacements: HashMap<usize, Replacement> = HashMap::new();
+    // Window scratch, reused across nodes.
+    let mut local = WindowTts::new(aig.num_nodes());
+    let mut divisors: Vec<usize> = Vec::with_capacity(MAX_DIVISORS);
+    let mut pool: Vec<(usize, [Tt; 2])> = Vec::with_capacity(MAX_DIVISORS + MAX_LEAVES);
 
     for var in aig.ands() {
         if blocked[var] {
@@ -63,44 +67,34 @@ pub fn resub(aig: &Aig, use_zero_cost: bool) -> Aig {
         // divisors never look forward (keeps the rebuild topological).
         let min_leaf =
             (*leaves.iter().min().expect("nonempty leaves")).max(var.saturating_sub(MAX_SPAN));
-        let mut local: HashMap<usize, Tt> = HashMap::new();
-        local.insert(0, Tt::zero(n));
+        local.clear();
+        local.set(0, Tt::zero(n));
         for (i, &l) in leaves.iter().enumerate() {
-            local.insert(l, Tt::var(n, i));
+            local.set(l, Tt::var(n, i));
         }
-        let mut divisors: Vec<usize> = Vec::new();
-        // `cand` is a node id walked in arena order, not a slice index.
-        #[allow(clippy::needless_range_loop)]
-        for cand in (min_leaf + 1)..=var {
+        divisors.clear();
+        let span = blocked.iter().enumerate().take(var + 1).skip(min_leaf + 1);
+        for (cand, &cand_blocked) in span {
             if !aig.is_and(cand) {
                 continue;
             }
             let (f0, f1) = (aig.fanin0(cand), aig.fanin1(cand));
-            let (Some(t0), Some(t1)) = (local.get(&f0.var()), local.get(&f1.var())) else {
+            let (Some(t0), Some(t1)) = (local.get(f0.var()), local.get(f1.var())) else {
                 continue;
             };
-            let a = if f0.is_complement() {
-                t0.not()
-            } else {
-                t0.clone()
-            };
-            let b = if f1.is_complement() {
-                t1.not()
-            } else {
-                t1.clone()
-            };
-            let t = a.and(&b);
-            local.insert(cand, t);
-            if cand != var && !blocked[cand] && divisors.len() < MAX_DIVISORS {
+            let a = if f0.is_complement() { t0.not() } else { t0 };
+            let b = if f1.is_complement() { t1.not() } else { t1 };
+            local.set(cand, a.and(&b));
+            if cand != var && !cand_blocked && divisors.len() < MAX_DIVISORS {
                 divisors.push(cand);
             }
         }
-        let Some(target) = local.get(&var).cloned() else {
+        let Some(target) = local.get(var) else {
             continue;
         };
         // The node's own MFFC cannot provide divisors: it dies on success.
         let (saved, dying) = cut_mffc(&aig, var, &leaves, &mut refs);
-        let candidate = find_resub(&aig, &target, &leaves, &divisors, &dying, &local);
+        let candidate = find_resub(&aig, &target, &leaves, &divisors, &dying, &local, &mut pool);
         if let Some((repl, added)) = candidate {
             let gain = saved as i64 - added as i64;
             if gain > 0 || (use_zero_cost && gain == 0) {
@@ -114,82 +108,63 @@ pub fn resub(aig: &Aig, use_zero_cost: bool) -> Aig {
     rebuild_with(&aig, &replacements)
 }
 
-/// Searches for a 0- or 1-resubstitution of `target` over the divisors.
-/// Returns the replacement together with the number of new gates it adds.
+/// Searches for a 0- or 1-resubstitution of `target` over the divisors,
+/// using `pool` as scratch for the 1-resub candidates and their
+/// complements. Returns the replacement together with the number of new
+/// gates it adds.
 fn find_resub(
     aig: &Aig,
     target: &Tt,
     leaves: &[usize],
     divisors: &[usize],
     dying: &[usize],
-    local: &HashMap<usize, Tt>,
+    local: &WindowTts,
+    pool: &mut Vec<(usize, [Tt; 2])>,
 ) -> Option<(Replacement, usize)> {
     // Constants first.
     if target.is_zero() || target.is_one() {
         return Some((constant_replacement(leaves, target.is_one()), 0));
     }
+    let window_tt = |node: usize| local.get(node).expect("window node has a table");
     // A leaf itself may already express the target.
     for (i, &l) in leaves.iter().enumerate() {
-        let lt = &local[&l];
-        if lt == target {
+        let lt = window_tt(l);
+        if lt == *target {
             return Some((wire_replacement(leaves, i, false), 0));
         }
         if lt.not() == *target {
             return Some((wire_replacement(leaves, i, true), 0));
         }
     }
-    let usable: Vec<usize> = divisors
-        .iter()
-        .copied()
-        .filter(|d| !dying.contains(d))
-        .collect();
     // 0-resub: a single divisor matches (up to complement).
-    for &d in &usable {
-        let dt = &local[&d];
-        if dt == target {
-            return Some((divisor_replacement(aig, leaves, &[(d, false)], Op::Wire), 0));
+    pool.clear();
+    for &d in divisors.iter().filter(|d| !dying.contains(d)) {
+        let dt = window_tt(d);
+        if dt == *target {
+            return Some((divisor_replacement(leaves, &[(d, false)], Op::Wire), 0));
         }
         if dt.not() == *target {
-            return Some((divisor_replacement(aig, leaves, &[(d, true)], Op::Wire), 0));
+            return Some((divisor_replacement(leaves, &[(d, true)], Op::Wire), 0));
         }
+        pool.push((d, [dt, dt.not()]));
     }
     // 1-resub: AND / OR of two (possibly complemented) divisors or leaves.
-    let mut pool: Vec<(usize, Tt)> = usable.iter().map(|&d| (d, local[&d].clone())).collect();
     for &l in leaves {
-        pool.push((l, local[&l].clone()));
+        let lt = window_tt(l);
+        pool.push((l, [lt, lt.not()]));
     }
-    for i in 0..pool.len() {
-        for j in (i + 1)..pool.len() {
+    for (i, &(di, ti)) in pool.iter().enumerate() {
+        for &(dj, tj) in &pool[i + 1..] {
             for (ci, cj) in [(false, false), (false, true), (true, false), (true, true)] {
-                let a = if ci {
-                    pool[i].1.not()
-                } else {
-                    pool[i].1.clone()
-                };
-                let b = if cj {
-                    pool[j].1.not()
-                } else {
-                    pool[j].1.clone()
-                };
+                let (a, b) = (ti[ci as usize], tj[cj as usize]);
+                let pair = [(di, ci), (dj, cj)];
                 if a.and(&b) == *target {
-                    let repl = divisor_replacement(
-                        aig,
-                        leaves,
-                        &[(pool[i].0, ci), (pool[j].0, cj)],
-                        Op::And,
-                    );
-                    let added = and_cost(aig, pool[i].0, ci, pool[j].0, cj, dying);
-                    return Some((repl, added));
+                    let added = and_cost(aig, di, ci, dj, cj, dying);
+                    return Some((divisor_replacement(leaves, &pair, Op::And), added));
                 }
                 if a.or(&b) == *target {
-                    let repl = divisor_replacement(
-                        aig,
-                        leaves,
-                        &[(pool[i].0, ci), (pool[j].0, cj)],
-                        Op::Or,
-                    );
-                    let added = and_cost(aig, pool[i].0, !ci, pool[j].0, !cj, dying);
-                    return Some((repl, added));
+                    let added = and_cost(aig, di, !ci, dj, !cj, dying);
+                    return Some((divisor_replacement(leaves, &pair, Op::Or), added));
                 }
             }
         }
@@ -224,12 +199,7 @@ fn wire_replacement(leaves: &[usize], index: usize, complement: bool) -> Replace
 
 /// Builds a replacement whose template leaves are the window leaves plus
 /// the referenced divisors (appended), computing `op` over the divisors.
-fn divisor_replacement(
-    _aig: &Aig,
-    leaves: &[usize],
-    divisors: &[(usize, bool)],
-    op: Op,
-) -> Replacement {
+fn divisor_replacement(leaves: &[usize], divisors: &[(usize, bool)], op: Op) -> Replacement {
     let mut all_leaves = leaves.to_vec();
     let mut idx = Vec::new();
     for &(d, _) in divisors {

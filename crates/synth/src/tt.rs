@@ -1,45 +1,55 @@
-//! Multi-word truth tables and the Minato–Morreale irredundant
+//! Fixed-width truth tables and the Minato–Morreale irredundant
 //! sum-of-products (ISOP) computation used by refactoring and the
 //! SOP-balancing transforms.
+//!
+//! Every window the transforms inspect has at most eight leaves, so a table
+//! is a `Copy` value of four 64-bit words and no operation allocates.
 
-use boils_aig::{input_pattern, Aig};
+use boils_aig::Aig;
 
-/// A truth table over `num_vars ≤ 16` variables, packed into 64-bit words.
+/// Bit patterns of the six variables that live inside one 64-bit word.
+const VAR_MASKS: [u64; 6] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
+
+/// A truth table over `num_vars ≤ 8` variables, packed into four 64-bit
+/// words; words beyond the `2^num_vars` significant bits are kept zero.
 ///
 /// Bit `p` (of the flattened table) is the function value for the input
 /// minterm with binary encoding `p`, variable 0 being the least significant
 /// bit.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Tt {
     num_vars: usize,
-    words: Vec<u64>,
+    words: [u64; 4],
 }
 
 impl Tt {
-    const MAX_VARS: usize = 16;
+    /// The largest supported variable count.
+    const MAX_VARS: usize = 8;
 
     /// The constant-false function over `num_vars` variables.
     ///
     /// # Panics
     ///
-    /// Panics if `num_vars > 16`.
+    /// Panics if `num_vars > 8`.
     pub fn zero(num_vars: usize) -> Tt {
-        assert!(
-            num_vars <= Self::MAX_VARS,
-            "truth tables limited to 16 vars"
-        );
+        assert!(num_vars <= Self::MAX_VARS, "truth tables limited to 8 vars");
         Tt {
             num_vars,
-            words: vec![0; Self::words_for(num_vars)],
+            words: [0; 4],
         }
     }
 
     /// The constant-true function over `num_vars` variables.
     pub fn one(num_vars: usize) -> Tt {
         let mut t = Tt::zero(num_vars);
-        for w in &mut t.words {
-            *w = !0;
-        }
+        t.words[..Self::words_for(num_vars)].fill(!0);
         t.mask_off();
         t
     }
@@ -52,15 +62,27 @@ impl Tt {
     pub fn var(num_vars: usize, var: usize) -> Tt {
         assert!(var < num_vars);
         let mut t = Tt::zero(num_vars);
-        t.words = input_pattern(var, Self::words_for(num_vars));
+        for (w, word) in t.words[..Self::words_for(num_vars)].iter_mut().enumerate() {
+            *word = if var < 6 {
+                VAR_MASKS[var]
+            } else if w >> (var - 6) & 1 == 1 {
+                !0
+            } else {
+                0
+            };
+        }
         t.mask_off();
         t
     }
 
     /// Builds a table from raw words (low 2^num_vars bits significant).
-    pub fn from_words(num_vars: usize, words: Vec<u64>) -> Tt {
-        assert_eq!(words.len(), Self::words_for(num_vars));
-        let mut t = Tt { num_vars, words };
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` does not hold exactly the table's word count.
+    pub fn from_words(num_vars: usize, words: &[u64]) -> Tt {
+        let mut t = Tt::zero(num_vars);
+        t.words[..Self::words_for(num_vars)].copy_from_slice(words);
         t.mask_off();
         t
     }
@@ -68,12 +90,7 @@ impl Tt {
     /// Builds a 6-variable-or-fewer table from a single word.
     pub fn from_u64(num_vars: usize, bits: u64) -> Tt {
         assert!(num_vars <= 6);
-        let mut t = Tt {
-            num_vars,
-            words: vec![bits],
-        };
-        t.mask_off();
-        t
+        Tt::from_words(num_vars, &[bits])
     }
 
     /// The packed bits when `num_vars ≤ 6`.
@@ -104,7 +121,7 @@ impl Tt {
 
     /// Whether the function is constant false.
     pub fn is_zero(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.words == [0; 4]
     }
 
     /// Whether the function is constant true.
@@ -122,19 +139,9 @@ impl Tt {
         self.words[p / 64] >> (p % 64) & 1 == 1
     }
 
-    /// The number of satisfied minterms.
-    pub fn count_ones(&self) -> u32 {
-        self.words.iter().map(|w| w.count_ones()).sum()
-    }
-
     /// Logical negation.
     pub fn not(&self) -> Tt {
-        let mut t = Tt {
-            num_vars: self.num_vars,
-            words: self.words.iter().map(|w| !w).collect(),
-        };
-        t.mask_off();
-        t
+        self.xor(&Tt::one(self.num_vars))
     }
 
     /// Logical conjunction.
@@ -143,43 +150,24 @@ impl Tt {
     ///
     /// Panics if variable counts differ.
     pub fn and(&self, other: &Tt) -> Tt {
-        assert_eq!(self.num_vars, other.num_vars);
-        Tt {
-            num_vars: self.num_vars,
-            words: self
-                .words
-                .iter()
-                .zip(&other.words)
-                .map(|(a, b)| a & b)
-                .collect(),
-        }
+        self.zip(other, |a, b| a & b)
     }
 
     /// Logical disjunction.
     pub fn or(&self, other: &Tt) -> Tt {
-        assert_eq!(self.num_vars, other.num_vars);
-        Tt {
-            num_vars: self.num_vars,
-            words: self
-                .words
-                .iter()
-                .zip(&other.words)
-                .map(|(a, b)| a | b)
-                .collect(),
-        }
+        self.zip(other, |a, b| a | b)
     }
 
     /// Exclusive or.
     pub fn xor(&self, other: &Tt) -> Tt {
+        self.zip(other, |a, b| a ^ b)
+    }
+
+    fn zip(&self, other: &Tt, op: impl Fn(u64, u64) -> u64) -> Tt {
         assert_eq!(self.num_vars, other.num_vars);
         Tt {
             num_vars: self.num_vars,
-            words: self
-                .words
-                .iter()
-                .zip(&other.words)
-                .map(|(a, b)| a ^ b)
-                .collect(),
+            words: std::array::from_fn(|w| op(self.words[w], other.words[w])),
         }
     }
 
@@ -195,27 +183,28 @@ impl Tt {
 
     fn cofactor(&self, var: usize, value: bool) -> Tt {
         assert!(var < self.num_vars);
-        let mut out = self.clone();
+        let mut out = *self;
         if var < 6 {
             let shift = 1u32 << var;
-            let keep = input_pattern(var, self.words.len());
-            for (w, k) in out.words.iter_mut().zip(&keep) {
-                let sel = if value { *w & k } else { *w & !k };
+            let keep = VAR_MASKS[var];
+            for w in &mut out.words {
                 *w = if value {
+                    let sel = *w & keep;
                     sel | (sel >> shift)
                 } else {
+                    let sel = *w & !keep;
                     sel | (sel << shift)
                 };
             }
         } else {
+            // Variable 6 toggles between neighbouring words, variable 7
+            // between word pairs.
             let stride = 1usize << (var - 6);
-            let period = stride * 2;
-            for base in (0..out.words.len()).step_by(period) {
-                for i in 0..stride {
-                    let src = if value { base + stride + i } else { base + i };
-                    let v = out.words[src];
-                    out.words[base + i] = v;
-                    out.words[base + stride + i] = v;
+            for base in (0..4).step_by(2 * stride) {
+                for i in base..base + stride {
+                    let v = out.words[if value { i + stride } else { i }];
+                    out.words[i] = v;
+                    out.words[i + stride] = v;
                 }
             }
         }
@@ -224,12 +213,22 @@ impl Tt {
 
     /// Whether the function depends on `var`.
     pub fn depends_on(&self, var: usize) -> bool {
-        self.cofactor0(var) != self.cofactor1(var)
+        assert!(var < self.num_vars);
+        if var < 6 {
+            let (shift, keep) = (1u32 << var, VAR_MASKS[var]);
+            self.words.iter().any(|&w| (w & !keep) << shift != w & keep)
+        } else {
+            let stride = 1usize << (var - 6);
+            (0..4)
+                .filter(|i| i & stride == 0)
+                .any(|i| self.words[i] != self.words[i + stride])
+        }
     }
 
-    /// The set of variables the function actually depends on.
-    pub fn support(&self) -> Vec<usize> {
-        (0..self.num_vars).filter(|&v| self.depends_on(v)).collect()
+    /// The variables the function actually depends on, in ascending order.
+    pub fn support(&self) -> impl Iterator<Item = usize> {
+        let t = *self;
+        (0..t.num_vars).filter(move |&v| t.depends_on(v))
     }
 }
 
@@ -250,11 +249,6 @@ impl Cube {
     /// Number of literals in the cube.
     pub fn num_lits(self) -> u32 {
         (self.pos | self.neg).count_ones()
-    }
-
-    /// Whether `var` appears (in either polarity).
-    pub fn contains(self, var: usize) -> bool {
-        (self.pos | self.neg) >> var & 1 == 1
     }
 
     /// The cube's characteristic function as a truth table.
@@ -285,32 +279,30 @@ pub fn cover_function(cover: &[Cube], num_vars: usize) -> Tt {
 /// The result `c` satisfies `f = Σ c` and no cube or literal can be removed
 /// without uncovering a minterm.
 pub fn isop(f: &Tt) -> Vec<Cube> {
-    let (cover, _) = isop_rec(f, f, f.num_vars());
+    let mut cover = Vec::new();
+    isop_rec(f, f, f.num_vars(), &mut cover);
     cover
 }
 
-/// Minato–Morreale on the interval `[lower, upper]`; returns a cover `c`
-/// with `lower ⊆ c ⊆ upper` plus its function.
-fn isop_rec(lower: &Tt, upper: &Tt, top: usize) -> (Vec<Cube>, Tt) {
+/// Minato–Morreale on the interval `[lower, upper]`: appends a cover `c`
+/// with `lower ⊆ c ⊆ upper` to `cover` and returns its function.
+fn isop_rec(lower: &Tt, upper: &Tt, top: usize, cover: &mut Vec<Cube>) -> Tt {
     let n = lower.num_vars();
     if lower.is_zero() {
-        return (Vec::new(), Tt::zero(n));
+        return Tt::zero(n);
     }
     if upper.is_one() {
-        return (vec![Cube::ONE], Tt::one(n));
+        cover.push(Cube::ONE);
+        return Tt::one(n);
     }
     // Find the highest variable in the support of either bound.
-    let mut var = None;
-    for v in (0..top).rev() {
-        if lower.depends_on(v) || upper.depends_on(v) {
-            var = Some(v);
-            break;
-        }
-    }
-    let Some(x) = var else {
+    let Some(x) = (0..top)
+        .rev()
+        .find(|&v| lower.depends_on(v) || upper.depends_on(v))
+    else {
         // No support left: lower must be 0 (else upper would be 1).
         debug_assert!(lower.is_zero());
-        return (Vec::new(), Tt::zero(n));
+        return Tt::zero(n);
     };
 
     let (l0, l1) = (lower.cofactor0(x), lower.cofactor1(x));
@@ -319,47 +311,86 @@ fn isop_rec(lower: &Tt, upper: &Tt, top: usize) -> (Vec<Cube>, Tt) {
     // Minterms that must be covered by cubes containing ¬x / x.
     let need0 = l0.and(&u1.not());
     let need1 = l1.and(&u0.not());
-    let (mut c0, f0) = isop_rec(&need0, &u0, x);
-    let (mut c1, f1) = isop_rec(&need1, &u1, x);
+    let start = cover.len();
+    let f0 = isop_rec(&need0, &u0, x, cover);
+    let mid = cover.len();
+    let f1 = isop_rec(&need1, &u1, x, cover);
+    for c in &mut cover[start..mid] {
+        c.neg |= 1 << x;
+    }
+    for c in &mut cover[mid..] {
+        c.pos |= 1 << x;
+    }
 
     // Remaining minterms go to cubes independent of x.
     let rest = l0.and(&f0.not()).or(&l1.and(&f1.not()));
     let u_star = u0.and(&u1);
-    let (c_star, f_star) = isop_rec(&rest, &u_star, x);
-
-    for c in &mut c0 {
-        c.neg |= 1 << x;
-    }
-    for c in &mut c1 {
-        c.pos |= 1 << x;
-    }
-    let mut cover = c0;
-    cover.extend(c1);
-    cover.extend(c_star);
+    let f_star = isop_rec(&rest, &u_star, x, cover);
 
     let xv = Tt::var(n, x);
-    let func = xv.not().and(&f0).or(&xv.and(&f1)).or(&f_star);
-    (cover, func)
+    xv.not().and(&f0).or(&xv.and(&f1)).or(&f_star)
+}
+
+/// Node-indexed truth tables over one window, reused across windows: a
+/// generation stamp per node marks which entries belong to the current
+/// window, so starting a new one is O(1) and nothing is allocated after
+/// construction.
+pub(crate) struct WindowTts {
+    tts: Vec<Tt>,
+    stamps: Vec<u32>,
+    generation: u32,
+}
+
+impl WindowTts {
+    /// Scratch for an AIG with `num_nodes` nodes.
+    pub(crate) fn new(num_nodes: usize) -> WindowTts {
+        WindowTts {
+            tts: vec![Tt::zero(0); num_nodes],
+            stamps: vec![0; num_nodes],
+            generation: 1,
+        }
+    }
+
+    /// Forgets every entry. (A `u32` generation cannot wrap: windows are
+    /// opened at most once per node of a `u32`-literal AIG.)
+    pub(crate) fn clear(&mut self) {
+        self.generation += 1;
+    }
+
+    /// The table of `node` in the current window, if set.
+    pub(crate) fn get(&self, node: usize) -> Option<Tt> {
+        (self.stamps[node] == self.generation).then(|| self.tts[node])
+    }
+
+    /// Sets the table of `node` in the current window.
+    pub(crate) fn set(&mut self, node: usize, tt: Tt) {
+        self.tts[node] = tt;
+        self.stamps[node] = self.generation;
+    }
 }
 
 /// Computes the truth table of the cone rooted at `root` over the given
-/// `leaves` (a valid cut of `root`, at most 16 leaves).
+/// `leaves` (a valid cut of `root`, at most 8 leaves), using `scratch` (sized
+/// for `aig`) as the memo.
 ///
 /// # Panics
 ///
-/// Panics if `leaves.len() > 16` or the cone escapes the leaves.
-pub fn cone_function(aig: &Aig, root: usize, leaves: &[usize]) -> Tt {
-    assert!(leaves.len() <= Tt::MAX_VARS);
+/// Panics if `leaves.len() > 8` or the cone escapes the leaves.
+pub(crate) fn cone_function(
+    aig: &Aig,
+    root: usize,
+    leaves: &[usize],
+    scratch: &mut WindowTts,
+) -> Tt {
     let n = leaves.len();
-    let words = (1usize << n).div_ceil(64);
-    let mut memo: std::collections::HashMap<usize, Tt> = std::collections::HashMap::new();
+    scratch.clear();
+    scratch.set(0, Tt::zero(n));
     for (i, &l) in leaves.iter().enumerate() {
-        memo.insert(l, Tt::from_words(n, input_pattern(i, words)));
+        scratch.set(l, Tt::var(n, i));
     }
-    memo.entry(0).or_insert_with(|| Tt::zero(n));
-    fn eval(aig: &Aig, node: usize, memo: &mut std::collections::HashMap<usize, Tt>) -> Tt {
-        if let Some(t) = memo.get(&node) {
-            return t.clone();
+    fn eval(aig: &Aig, node: usize, memo: &mut WindowTts) -> Tt {
+        if let Some(t) = memo.get(node) {
+            return t;
         }
         assert!(aig.is_and(node), "cone escapes cut at node {node}");
         let (f0, f1) = (aig.fanin0(node), aig.fanin1(node));
@@ -372,10 +403,10 @@ pub fn cone_function(aig: &Aig, root: usize, leaves: &[usize]) -> Tt {
             t1 = t1.not();
         }
         let t = t0.and(&t1);
-        memo.insert(node, t.clone());
+        memo.set(node, t);
         t
     }
-    eval(aig, root, &mut memo)
+    eval(aig, root, scratch)
 }
 
 #[cfg(test)]
@@ -406,7 +437,7 @@ mod tests {
         let f = Tt::var(8, 7).and(&Tt::var(8, 0));
         assert!(f.cofactor0(7).is_zero());
         assert_eq!(f.cofactor1(7), Tt::var(8, 0));
-        assert_eq!(f.support(), vec![0, 7]);
+        assert_eq!(f.support().collect::<Vec<_>>(), vec![0, 7]);
     }
 
     #[test]
@@ -463,7 +494,7 @@ mod tests {
         let m = aig.maj(a, b, c);
         aig.add_po(m);
         let leaves = vec![a.var(), b.var(), c.var()];
-        let tt = cone_function(&aig, m.var(), &leaves);
+        let tt = cone_function(&aig, m.var(), &leaves, &mut WindowTts::new(aig.num_nodes()));
         let expect = aig.simulate_exhaustive()[0][0];
         let got = if m.is_complement() { tt.not() } else { tt };
         assert_eq!(got.as_u64(), expect);

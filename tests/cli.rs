@@ -465,3 +465,18 @@ fn unknown_flags_and_circuits_fail_gracefully() {
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("USAGE"));
 }
+
+#[test]
+fn oversized_aag_header_is_an_error_not_a_panic() {
+    let aag = tmp("oversized_header.aag");
+    std::fs::write(&aag, "aag 0 0 0 0 18446744073709551615\n").expect("write aag");
+    let out = boils()
+        .args(["stats", "--input"])
+        .arg(&aag)
+        .output()
+        .expect("spawn");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success());
+    assert!(stderr.contains("error:"), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}
