@@ -4,6 +4,7 @@
 //! EPFL arithmetic benchmarks use. The format is the classic
 //! `aag M I L O A` header followed by input, output and and-gate lines.
 
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 
 use crate::error::ParseAagError;
@@ -90,11 +91,6 @@ impl Aig {
             .filter(|&v| v <= (u32::MAX >> 1) as usize)
             .ok_or_else(|| ParseAagError::BadHeader(header.clone()))?;
 
-        let mut aig = Aig::new(i);
-        // Map from file variable index to our literal.
-        let mut map: Vec<Option<Lit>> = vec![None; max_var + 1];
-        map[0] = Some(Lit::FALSE);
-
         let next_line = |lines: &mut dyn Iterator<Item = (usize, std::io::Result<String>)>|
          -> Result<(usize, String), ParseAagError> {
             let (n, line) = lines.next().ok_or(ParseAagError::BadLine {
@@ -104,25 +100,33 @@ impl Aig {
             Ok((n + 1, line?))
         };
 
-        let mut input_vars = Vec::with_capacity(i);
-        for k in 0..i {
+        // Every allocation below grows with the lines actually read, never
+        // with a header count: a header may declare billions of entries.
+        let mut input_vars = Vec::new();
+        for _ in 0..i {
             let (n, line) = next_line(&mut lines)?;
             let raw: u32 = line.trim().parse().map_err(|_| ParseAagError::BadLine {
                 line_number: n,
                 message: format!("bad input literal {line:?}"),
             })?;
             let var = (raw >> 1) as usize;
-            if raw & 1 == 1 || var == 0 || var >= map.len() {
+            if raw & 1 == 1 || var == 0 || var > max_var {
                 return Err(ParseAagError::BadLine {
                     line_number: n,
                     message: format!("invalid input literal {raw}"),
                 });
             }
-            map[var] = Some(aig.pi(k));
             input_vars.push(var);
         }
+        let mut aig = Aig::new(input_vars.len());
+        // Map from file variable index to our literal.
+        let mut map: HashMap<usize, Lit> = HashMap::new();
+        map.insert(0, Lit::FALSE);
+        for (k, &var) in input_vars.iter().enumerate() {
+            map.insert(var, aig.pi(k));
+        }
 
-        let mut output_raws = Vec::with_capacity(o);
+        let mut output_raws = Vec::new();
         for _ in 0..o {
             let (n, line) = next_line(&mut lines)?;
             let raw: u32 = line.trim().parse().map_err(|_| ParseAagError::BadLine {
@@ -152,7 +156,7 @@ impl Aig {
                 });
             }
             let lv = (lhs >> 1) as usize;
-            if lv >= map.len() || map[lv].is_some() {
+            if lv > max_var || map.contains_key(&lv) {
                 return Err(ParseAagError::BadLine {
                     line_number: n,
                     message: format!("and-gate redefines variable {lv}"),
@@ -161,22 +165,20 @@ impl Aig {
             let fan = |raw: u32| -> Result<Lit, ParseAagError> {
                 let v = (raw >> 1) as usize;
                 let base = map
-                    .get(v)
+                    .get(&v)
                     .copied()
-                    .flatten()
                     .ok_or(ParseAagError::NotTopological { gate_literal: lhs })?;
                 Ok(base.xor_complement(raw & 1 == 1))
             };
             let (f0, f1) = (fan(rhs0)?, fan(rhs1)?);
-            map[lv] = Some(aig.and(f0, f1));
+            map.insert(lv, aig.and(f0, f1));
         }
 
         for raw in output_raws {
             let v = (raw >> 1) as usize;
             let base = map
-                .get(v)
+                .get(&v)
                 .copied()
-                .flatten()
                 .ok_or(ParseAagError::UndefinedLiteral(raw))?;
             aig.add_po(base.xor_complement(raw & 1 == 1));
         }
@@ -268,6 +270,20 @@ mod tests {
                 "{text:?}"
             );
         }
+    }
+
+    #[test]
+    fn a_huge_output_count_is_an_error_not_an_allocation() {
+        // Used to reserve 4·10¹² output slots up front and abort.
+        let text = "aag 0 0 0 4000000000000 0\n";
+        assert!(Aig::read_aag(text.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn a_huge_input_count_is_an_error_not_an_allocation() {
+        // Used to build a 2·10⁹-input AIG before reading a single line.
+        let text = "aag 0 2000000000 0 0 0\n";
+        assert!(Aig::read_aag(text.as_bytes()).is_err());
     }
 
     #[test]

@@ -75,10 +75,15 @@ impl Aig {
         if l != 0 {
             return Err(ParseAagError::LatchesUnsupported);
         }
-        if m != i + a {
+        // Every declared variable must fit a `u32` literal (`2 · var + 1`).
+        // Inputs are implicit in the binary format (they take no body
+        // bytes), so the AIG below is sized from the header within this
+        // bound; outputs and gates grow with the bytes actually read.
+        let max_var = i.checked_add(a).filter(|&v| v <= (u32::MAX >> 1) as usize);
+        if max_var != Some(m) {
             return Err(ParseAagError::BadHeader(header));
         }
-        let mut output_raws = Vec::with_capacity(o);
+        let mut output_raws = Vec::new();
         for _ in 0..o {
             let mut line = String::new();
             reader.read_line(&mut line)?;
@@ -288,6 +293,27 @@ mod tests {
             let back = read_delta(&mut buf.as_slice()).expect("read");
             assert_eq!(back, v);
         }
+    }
+
+    #[test]
+    fn binary_headers_beyond_the_literal_range_or_the_body_are_errors() {
+        for text in [
+            // `i + a` overflowing `usize` used to wrap past `m != i + a`.
+            "aig 18446744073709551615 1 0 0 18446744073709551615\n",
+            // Fits `usize` but not a `u32` literal.
+            "aig 2147483648 0 0 0 2147483648\n",
+        ] {
+            assert!(
+                matches!(
+                    Aig::read_aig_binary(text.as_bytes()),
+                    Err(ParseAagError::BadHeader(_))
+                ),
+                "{text:?}"
+            );
+        }
+        // A huge output count reads until the body runs out instead of
+        // reserving 4·10¹² slots up front.
+        assert!(Aig::read_aig_binary("aig 0 0 0 4000000000000 0\n".as_bytes()).is_err());
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //! emit the same [`OptimizationResult`](boils_core::OptimizationResult)
 //! trace as BOiLS itself, so the experiment harness treats every method
 //! uniformly. [`Method`] wraps the whole comparison — baselines plus the
-//! BO methods from `boils-core` — behind one id-addressable enum, which is
-//! what the experiment harness and the optimisation daemon dispatch on.
+//! BO methods from `boils-core` — behind one id-addressable enum, and
+//! [`Method::run`] runs any of them under one [`RunSpec`]: the CLI, the
+//! experiment harness and the optimisation daemon all dispatch through it.
 
 mod ga;
 mod method;
@@ -26,7 +27,7 @@ mod rl;
 mod simple;
 
 pub use crate::ga::{genetic_algorithm, genetic_algorithm_controlled, GaConfig};
-pub use crate::method::Method;
+pub use crate::method::{Method, RunSpec};
 pub use crate::rl::{
     reinforcement_learning, reinforcement_learning_controlled, RlAlgorithm, RlConfig, RlFeatures,
     RolloutCircuit,

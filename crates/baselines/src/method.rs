@@ -5,10 +5,61 @@ use crate::{
     reinforcement_learning_controlled, GaConfig, RlAlgorithm, RlConfig, RlFeatures, RolloutCircuit,
 };
 use boils_core::{
-    Boils, BoilsConfig, OptimizationResult, RunBoilsError, RunControl, Sbo, SboConfig,
-    SequenceObjective, SequenceSpace, WarmStart,
+    Boils, BoilsConfig, OptimizationResult, RunBoilsError, RunControl, RunDiagnostics, Sbo,
+    SboConfig, SequenceObjective, SequenceSpace, StopReason, WarmStart,
 };
 use boils_gp::TrainConfig;
+
+/// Everything one optimisation run takes besides the method and the
+/// objective. [`RunSpec::new`] fills in the defaults: one thread,
+/// sequential acquisition, the full-history surrogate, the scalar cost, no
+/// warm start and a control that never fires.
+///
+/// The batch, window, multi-objective and warm-start settings only steer
+/// the BO methods (warm start only BOiLS); the other methods have no
+/// acquisition loop or surrogate and ignore them, though their
+/// [`OptimizationResult::pareto_front`] archive is still maintained.
+#[derive(Clone, Debug)]
+pub struct RunSpec {
+    /// The sequence space `Alg^K`.
+    pub space: SequenceSpace,
+    /// Black-box evaluation budget.
+    pub budget: usize,
+    /// RNG seed.
+    pub seed: u64,
+    /// Worker threads for batched black-box evaluations.
+    pub threads: usize,
+    /// Candidates proposed per BO iteration (see
+    /// [`BoilsConfig::batch_size`]).
+    pub batch_size: usize,
+    /// Bounded-history surrogate window (see
+    /// [`BoilsConfig::surrogate_window`]).
+    pub surrogate_window: Option<usize>,
+    /// Optimise the cost vector with ParEGO scalarisations (see
+    /// [`BoilsConfig::multi_objective`]).
+    pub multi_objective: bool,
+    /// Cross-circuit warm start for BOiLS (see [`BoilsConfig::warm_start`]).
+    pub warm_start: Option<WarmStart>,
+    /// Cancellation and deadline of the run.
+    pub control: RunControl,
+}
+
+impl RunSpec {
+    /// A spec with the defaults listed on [`RunSpec`].
+    pub fn new(space: SequenceSpace, budget: usize, seed: u64) -> RunSpec {
+        RunSpec {
+            space,
+            budget,
+            seed,
+            threads: 1,
+            batch_size: 1,
+            surrogate_window: None,
+            multi_objective: false,
+            warm_start: None,
+            control: RunControl::new(),
+        }
+    }
+}
 
 /// Every method of the paper's evaluation (Figure 3 top row columns).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -100,132 +151,30 @@ impl Method {
         matches!(self, Method::Sbo | Method::Boils)
     }
 
-    /// Runs the method against an objective with a single worker thread.
-    pub fn run<O: SequenceObjective + RolloutCircuit>(
-        self,
-        objective: &O,
-        space: SequenceSpace,
-        budget: usize,
-        seed: u64,
-    ) -> OptimizationResult {
-        self.run_threaded(objective, space, budget, seed, 1)
-    }
-
-    /// Runs the method against an objective, spending black-box
-    /// evaluations through the shared engine with `threads` workers.
+    /// Runs the method under `spec` against an objective, spending
+    /// black-box evaluations through the shared engine. This is the one
+    /// entry point every surface (CLI, daemon, experiment harness) runs a
+    /// job through.
     ///
     /// Budgets are spent as whole black-box evaluations; every method uses
     /// the same [`SequenceObjective`] and produces the same trace format,
-    /// and each trajectory is thread-count invariant.
-    pub fn run_threaded<O: SequenceObjective + RolloutCircuit>(
+    /// and each trajectory is thread-count invariant. A cancel or deadline
+    /// on [`RunSpec::control`] stops the method at the next evaluation
+    /// boundary and returns best-so-far (an exact prefix of the
+    /// uncancelled trajectory). The BO methods also return their
+    /// [`RunDiagnostics`]; the other methods have none.
+    ///
+    /// # Errors
+    ///
+    /// [`RunBoilsError::Interrupted`] when the control fired before a
+    /// single evaluation completed; for the BO methods also a budget below
+    /// the initial design or a GP that cannot be fitted.
+    pub fn run<O: SequenceObjective + RolloutCircuit>(
         self,
+        spec: &RunSpec,
         objective: &O,
-        space: SequenceSpace,
-        budget: usize,
-        seed: u64,
-        threads: usize,
-    ) -> OptimizationResult {
-        self.run_batched(objective, space, budget, seed, threads, 1)
-    }
-
-    /// [`Method::run_threaded`] with a q-EI acquisition batch size for the
-    /// BO methods: BOiLS and SBO propose `batch_size` candidates per
-    /// iteration (constant liar) and evaluate them as one prefix-aware
-    /// parallel batch. The other methods have no acquisition loop to batch
-    /// and ignore the knob (their existing batching — GA generations,
-    /// greedy sweeps, RS designs — already saturates the engine).
-    pub fn run_batched<O: SequenceObjective + RolloutCircuit>(
-        self,
-        objective: &O,
-        space: SequenceSpace,
-        budget: usize,
-        seed: u64,
-        threads: usize,
-        batch_size: usize,
-    ) -> OptimizationResult {
-        self.run_configured(objective, space, budget, seed, threads, batch_size, None)
-    }
-
-    /// [`Method::run_batched`] with a bounded-history surrogate window for
-    /// the BO methods: `Some(w)` caps the GP training set at `w`
-    /// observations with incumbent-pinned sliding-window eviction (see
-    /// [`BoilsConfig::surrogate_window`]). The non-BO methods have no
-    /// surrogate and ignore the knob.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_configured<O: SequenceObjective + RolloutCircuit>(
-        self,
-        objective: &O,
-        space: SequenceSpace,
-        budget: usize,
-        seed: u64,
-        threads: usize,
-        batch_size: usize,
-        surrogate_window: Option<usize>,
-    ) -> OptimizationResult {
-        self.run_controlled(
-            objective,
-            space,
-            budget,
-            seed,
-            threads,
-            batch_size,
-            surrogate_window,
-            &RunControl::new(),
-        )
-        .expect("uncontrolled run cannot be interrupted")
-    }
-
-    /// [`Method::run_configured`] under a [`RunControl`]: a cancel or
-    /// deadline stops the method at the next evaluation boundary and
-    /// returns best-so-far (an exact prefix of the uncancelled
-    /// trajectory); `None` only when the control fired before a single
-    /// evaluation completed.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_controlled<O: SequenceObjective + RolloutCircuit>(
-        self,
-        objective: &O,
-        space: SequenceSpace,
-        budget: usize,
-        seed: u64,
-        threads: usize,
-        batch_size: usize,
-        surrogate_window: Option<usize>,
-        control: &RunControl,
-    ) -> Option<OptimizationResult> {
-        self.run_mo_controlled(
-            objective,
-            space,
-            budget,
-            seed,
-            threads,
-            batch_size,
-            surrogate_window,
-            false,
-            control,
-        )
-    }
-
-    /// [`Method::run_controlled`] with an opt-in multi-objective mode for
-    /// the BO methods: BOiLS and SBO switch to the ParEGO random-weight
-    /// Chebyshev acquisition over the objective's cost *vector* (see
-    /// [`BoilsConfig::multi_objective`]). The non-BO methods have no
-    /// acquisition to steer and ignore the flag — their
-    /// [`OptimizationResult::pareto_front`] archive is still maintained.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_mo_controlled<O: SequenceObjective + RolloutCircuit>(
-        self,
-        objective: &O,
-        space: SequenceSpace,
-        budget: usize,
-        seed: u64,
-        threads: usize,
-        batch_size: usize,
-        surrogate_window: Option<usize>,
-        multi_objective: bool,
-        control: &RunControl,
-    ) -> Option<OptimizationResult> {
-        self.run_warm_mo_controlled(
-            objective,
+    ) -> Result<(OptimizationResult, Option<RunDiagnostics>), RunBoilsError> {
+        let RunSpec {
             space,
             budget,
             seed,
@@ -233,32 +182,24 @@ impl Method {
             batch_size,
             surrogate_window,
             multi_objective,
-            None,
-            control,
-        )
-    }
-
-    /// [`Method::run_mo_controlled`] with an opt-in cross-circuit
-    /// [`WarmStart`] for BOiLS: donor sequences from a similar circuit's
-    /// recorded history seed the initial design and the surrogate (see
-    /// [`BoilsConfig::warm_start`]). The other methods have no surrogate
-    /// to seed and ignore it; `None` is bit-identical to
-    /// [`Method::run_mo_controlled`] for every method.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_warm_mo_controlled<O: SequenceObjective + RolloutCircuit>(
-        self,
-        objective: &O,
-        space: SequenceSpace,
-        budget: usize,
-        seed: u64,
-        threads: usize,
-        batch_size: usize,
-        surrogate_window: Option<usize>,
-        multi_objective: bool,
-        warm_start: Option<WarmStart>,
-        control: &RunControl,
-    ) -> Option<OptimizationResult> {
-        match self {
+            ref warm_start,
+            ref control,
+        } = *spec;
+        let rl = |algorithm, features| {
+            reinforcement_learning_controlled(
+                objective,
+                space,
+                budget,
+                &RlConfig {
+                    algorithm,
+                    features,
+                    seed,
+                    ..RlConfig::default()
+                },
+                control,
+            )
+        };
+        let result = match self {
             Method::Rs => {
                 random_search_controlled(objective, space, budget, seed, threads, control)
             }
@@ -274,42 +215,9 @@ impl Method {
                 },
                 control,
             ),
-            Method::DrillsPpo => reinforcement_learning_controlled(
-                objective,
-                space,
-                budget,
-                &RlConfig {
-                    algorithm: RlAlgorithm::Ppo,
-                    features: RlFeatures::Stats,
-                    seed,
-                    ..RlConfig::default()
-                },
-                control,
-            ),
-            Method::DrillsA2c => reinforcement_learning_controlled(
-                objective,
-                space,
-                budget,
-                &RlConfig {
-                    algorithm: RlAlgorithm::A2c,
-                    features: RlFeatures::Stats,
-                    seed,
-                    ..RlConfig::default()
-                },
-                control,
-            ),
-            Method::GraphRl => reinforcement_learning_controlled(
-                objective,
-                space,
-                budget,
-                &RlConfig {
-                    algorithm: RlAlgorithm::A2c,
-                    features: RlFeatures::Graph,
-                    seed,
-                    ..RlConfig::default()
-                },
-                control,
-            ),
+            Method::DrillsPpo => rl(RlAlgorithm::Ppo, RlFeatures::Stats),
+            Method::DrillsA2c => rl(RlAlgorithm::A2c, RlFeatures::Stats),
+            Method::GraphRl => rl(RlAlgorithm::A2c, RlFeatures::Graph),
             Method::Sbo => {
                 let mut sbo = Sbo::new(SboConfig {
                     max_evaluations: budget,
@@ -320,17 +228,11 @@ impl Method {
                     batch_size,
                     surrogate_window,
                     multi_objective,
-                    train: TrainConfig {
-                        steps: 10,
-                        ..TrainConfig::default()
-                    },
+                    train: bo_training(),
                     ..SboConfig::default()
                 });
-                match sbo.run_with_control(objective, control) {
-                    Ok(result) => Some(result),
-                    Err(RunBoilsError::Interrupted(_)) => None,
-                    Err(err) => panic!("SBO run failed: {err}"),
-                }
+                let result = sbo.run_with_control(objective, control)?;
+                return Ok((result, Some(sbo.diagnostics().clone())));
             }
             Method::Boils => {
                 let mut boils = Boils::new(BoilsConfig {
@@ -342,20 +244,18 @@ impl Method {
                     batch_size,
                     surrogate_window,
                     multi_objective,
-                    warm_start,
-                    train: TrainConfig {
-                        steps: 10,
-                        ..TrainConfig::default()
-                    },
+                    warm_start: warm_start.clone(),
+                    train: bo_training(),
                     ..BoilsConfig::default()
                 });
-                match boils.run_with_control(objective, control) {
-                    Ok(result) => Some(result),
-                    Err(RunBoilsError::Interrupted(_)) => None,
-                    Err(err) => panic!("BOiLS run failed: {err}"),
-                }
+                let result = boils.run_with_control(objective, control)?;
+                return Ok((result, Some(boils.diagnostics().clone())));
             }
-        }
+        };
+        let reason = || control.stop_reason().unwrap_or(StopReason::Cancelled);
+        result
+            .map(|result| (result, None))
+            .ok_or_else(|| RunBoilsError::Interrupted(reason()))
     }
 }
 
@@ -365,15 +265,35 @@ impl std::fmt::Display for Method {
     }
 }
 
-/// Initial design size: 20% of the budget, at least 4.
+/// Initial design size: 20% of the budget, at least 4, and below the
+/// budget where it can be (a budget of 1 is left for the BO methods to
+/// reject as too small).
 fn initial_design(budget: usize) -> usize {
-    (budget / 5).clamp(4, budget.saturating_sub(1).max(1))
+    (budget / 5).max(4).min(budget.saturating_sub(1).max(1))
+}
+
+/// Kernel training of the BO methods: the library's Adam settings with 10
+/// steps per retrain.
+fn bo_training() -> TrainConfig {
+    TrainConfig {
+        steps: 10,
+        ..TrainConfig::default()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use boils_aig::random_aig;
+
+    /// Runs `method` and returns its result, panicking on any error.
+    fn run(
+        method: Method,
+        spec: &RunSpec,
+        evaluator: &boils_core::QorEvaluator,
+    ) -> OptimizationResult {
+        method.run(spec, evaluator).expect("run completes").0
+    }
 
     #[test]
     fn ids_round_trip() {
@@ -389,7 +309,7 @@ mod tests {
         let space = SequenceSpace::new(4, 11);
         for m in Method::ALL {
             let budget = if m == Method::Greedy { 22 } else { 12 };
-            let r = m.run(&evaluator, space, budget, 0);
+            let r = run(m, &RunSpec::new(space, budget, 0), &evaluator);
             assert_eq!(r.num_evaluations(), budget, "{m}");
         }
     }
@@ -397,48 +317,25 @@ mod tests {
     #[test]
     fn batched_bo_methods_respect_the_budget() {
         let evaluator = boils_core::QorEvaluator::new(&random_aig(61, 8, 250, 3)).expect("ok");
-        let space = SequenceSpace::new(4, 11);
+        let spec = RunSpec {
+            threads: 2,
+            batch_size: 4,
+            ..RunSpec::new(SequenceSpace::new(4, 11), 13, 0)
+        };
         for m in [Method::Sbo, Method::Boils] {
-            let r = m.run_batched(&evaluator, space, 13, 0, 2, 4);
-            assert_eq!(r.num_evaluations(), 13, "{m}");
+            assert_eq!(run(m, &spec, &evaluator).num_evaluations(), 13, "{m}");
         }
     }
 
     #[test]
     fn windowed_bo_methods_respect_the_budget() {
         let evaluator = boils_core::QorEvaluator::new(&random_aig(61, 8, 250, 3)).expect("ok");
-        let space = SequenceSpace::new(4, 11);
+        let spec = RunSpec {
+            surrogate_window: Some(5),
+            ..RunSpec::new(SequenceSpace::new(4, 11), 14, 0)
+        };
         for m in [Method::Sbo, Method::Boils] {
-            let r = m.run_configured(&evaluator, space, 14, 0, 1, 1, Some(5));
-            assert_eq!(r.num_evaluations(), 14, "{m}");
-        }
-    }
-
-    #[test]
-    fn no_window_matches_run_batched() {
-        let aig = random_aig(61, 8, 250, 3);
-        let space = SequenceSpace::new(4, 11);
-        for m in [Method::Sbo, Method::Boils] {
-            let a_eval = boils_core::QorEvaluator::new(&aig).expect("ok");
-            let b_eval = boils_core::QorEvaluator::new(&aig).expect("ok");
-            let a = m.run_batched(&a_eval, space, 12, 1, 1, 1);
-            let b = m.run_configured(&b_eval, space, 12, 1, 1, 1, None);
-            assert_eq!(a.best_tokens, b.best_tokens, "{m}");
-            assert_eq!(a.best_qor, b.best_qor, "{m}");
-        }
-    }
-
-    #[test]
-    fn batch_size_one_matches_run_threaded() {
-        let aig = random_aig(61, 8, 250, 3);
-        let space = SequenceSpace::new(4, 11);
-        for m in [Method::Sbo, Method::Boils] {
-            let a_eval = boils_core::QorEvaluator::new(&aig).expect("ok");
-            let b_eval = boils_core::QorEvaluator::new(&aig).expect("ok");
-            let a = m.run_threaded(&a_eval, space, 12, 1, 1);
-            let b = m.run_batched(&b_eval, space, 12, 1, 1, 1);
-            assert_eq!(a.best_tokens, b.best_tokens, "{m}");
-            assert_eq!(a.best_qor, b.best_qor, "{m}");
+            assert_eq!(run(m, &spec, &evaluator).num_evaluations(), 14, "{m}");
         }
     }
 
@@ -450,8 +347,12 @@ mod tests {
             let budget = if m == Method::Greedy { 22 } else { 12 };
             let serial = boils_core::QorEvaluator::new(&aig).expect("ok");
             let parallel = boils_core::QorEvaluator::new(&aig).expect("ok");
-            let a = m.run_threaded(&serial, space, budget, 1, 1);
-            let b = m.run_threaded(&parallel, space, budget, 1, 8);
+            let a = run(m, &RunSpec::new(space, budget, 1), &serial);
+            let spec = RunSpec {
+                threads: 8,
+                ..RunSpec::new(space, budget, 1)
+            };
+            let b = run(m, &spec, &parallel);
             assert_eq!(a.best_tokens, b.best_tokens, "{m}");
             assert_eq!(a.best_qor, b.best_qor, "{m}");
             assert_eq!(
@@ -460,5 +361,58 @@ mod tests {
                 "{m}: unique-evaluation accounting drifted with threads"
             );
         }
+    }
+
+    #[test]
+    fn only_the_bo_methods_report_diagnostics() {
+        let evaluator = boils_core::QorEvaluator::new(&random_aig(61, 8, 250, 3)).expect("ok");
+        let spec = RunSpec::new(SequenceSpace::new(4, 11), 12, 0);
+        for m in Method::ALL {
+            let budget = if m == Method::Greedy { 22 } else { 12 };
+            let spec = RunSpec {
+                budget,
+                ..spec.clone()
+            };
+            let (_, diagnostics) = m.run(&spec, &evaluator).expect("run");
+            assert_eq!(diagnostics.is_some(), m.is_bayesian(), "{m}");
+        }
+    }
+
+    #[test]
+    fn bo_methods_handle_budgets_below_the_design_floor() {
+        // The design size used to `clamp(4, budget - 1)`, which panics
+        // for budgets under 5.
+        let evaluator = boils_core::QorEvaluator::new(&random_aig(61, 8, 250, 3)).expect("ok");
+        for m in [Method::Sbo, Method::Boils] {
+            let spec = RunSpec::new(SequenceSpace::new(4, 11), 1, 0);
+            assert!(
+                matches!(
+                    m.run(&spec, &evaluator),
+                    Err(RunBoilsError::BudgetTooSmall { .. })
+                ),
+                "{m}"
+            );
+            for budget in 2..5 {
+                let spec = RunSpec::new(SequenceSpace::new(4, 11), budget, 0);
+                assert_eq!(run(m, &spec, &evaluator).num_evaluations(), budget, "{m}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_pre_cancelled_run_is_an_interrupted_error() {
+        let evaluator = boils_core::QorEvaluator::new(&random_aig(61, 8, 250, 3)).expect("ok");
+        let spec = RunSpec::new(SequenceSpace::new(4, 11), 12, 0);
+        spec.control.cancel();
+        for m in Method::ALL {
+            assert!(
+                matches!(
+                    m.run(&spec, &evaluator),
+                    Err(RunBoilsError::Interrupted(StopReason::Cancelled))
+                ),
+                "{m}"
+            );
+        }
+        assert_eq!(evaluator.num_evaluations(), 0);
     }
 }

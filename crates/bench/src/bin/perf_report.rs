@@ -990,7 +990,7 @@ fn gp_fit_section(smoke: bool) -> String {
 /// isolated counterpart — multi-tenancy changes *who pays* for a
 /// synthesis result, never what any tenant observes.
 fn daemon_section(circuit: Benchmark, threads: usize, smoke: bool) -> String {
-    use boils_baselines::Method;
+    use boils_baselines::{Method, RunSpec};
     use boils_daemon::{Daemon, DaemonConfig, Event};
 
     let k = if smoke { 6 } else { 12 };
@@ -1055,18 +1055,8 @@ fn daemon_section(circuit: Benchmark, threads: usize, smoke: bool) -> String {
         let evaluator = QorEvaluator::new(&aig)
             .expect("ok")
             .with_objective(Objective::parse(name).expect("built-in objective"));
-        let solo = Method::Rs
-            .run_mo_controlled(
-                &evaluator,
-                space,
-                budget,
-                seed,
-                1,
-                1,
-                None,
-                false,
-                &RunControl::new(),
-            )
+        let (solo, _) = Method::Rs
+            .run(&RunSpec::new(space, budget, seed), &evaluator)
             .expect("uncontrolled run completes");
         isolated_unique += evaluator.num_evaluations();
         let shared = daemon.take_result(*job).expect("result retained");

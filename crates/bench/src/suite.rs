@@ -8,12 +8,12 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
+use boils_baselines::{Method, RunSpec};
 use boils_circuits::{Benchmark, CircuitSpec};
 use boils_core::{
-    FaultInjector, FaultPlan, Objective, QorEvaluator, RunControl, SequenceSpace, Termination,
+    FaultInjector, FaultPlan, Objective, QorEvaluator, RunBoilsError, RunControl, SequenceSpace,
+    Termination,
 };
-
-use crate::method::Method;
 
 /// Sweep configuration.
 #[derive(Clone, Debug)]
@@ -218,7 +218,8 @@ impl Sweep {
 
     /// Runs the sweep, printing one progress line per run to stderr.
     /// Returns a one-line diagnostic if the config fails
-    /// [`SweepConfig::validate`] or the cache directory cannot be opened.
+    /// [`SweepConfig::validate`], the cache directory cannot be opened, or
+    /// a BO run fails (a GP that cannot be fitted).
     pub fn try_run(config: &SweepConfig) -> Result<Sweep, String> {
         config.validate()?;
         let mut runs = Vec::new();
@@ -264,28 +265,35 @@ impl Sweep {
                 let budget = config.budget_for(method);
                 for seed in 0..config.seeds as u64 {
                     let t0 = std::time::Instant::now();
-                    let control = match config.deadline_secs {
-                        Some(secs) => RunControl::with_deadline(Duration::from_secs_f64(secs)),
-                        None => RunControl::new(),
+                    let spec = RunSpec {
+                        threads: config.threads,
+                        batch_size: config.batch_size,
+                        surrogate_window: config.surrogate_window,
+                        multi_objective: config.multi_objective,
+                        control: match config.deadline_secs {
+                            Some(secs) => RunControl::with_deadline(Duration::from_secs_f64(secs)),
+                            None => RunControl::new(),
+                        },
+                        ..RunSpec::new(space, budget, seed)
                     };
-                    let Some(result) = method.run_mo_controlled(
-                        &evaluator,
-                        space,
-                        budget,
-                        seed,
-                        config.threads,
-                        config.batch_size,
-                        config.surrogate_window,
-                        config.multi_objective,
-                        &control,
-                    ) else {
-                        eprintln!(
-                            "[sweep] {:<10} {:<12} seed {}  interrupted before first evaluation",
-                            circuit.name(),
-                            method.id(),
-                            seed,
-                        );
-                        continue;
+                    let result = match method.run(&spec, &evaluator) {
+                        Ok((result, _)) => result,
+                        Err(RunBoilsError::Interrupted(_)) => {
+                            eprintln!(
+                                "[sweep] {:<10} {:<12} seed {}  interrupted before first evaluation",
+                                circuit.name(),
+                                method.id(),
+                                seed,
+                            );
+                            continue;
+                        }
+                        Err(e) => {
+                            return Err(format!(
+                                "{} on {} seed {seed}: {e}",
+                                method.id(),
+                                circuit.name()
+                            ))
+                        }
                     };
                     let trace: Vec<(f64, usize, u32)> = result
                         .history

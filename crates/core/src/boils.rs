@@ -4,8 +4,9 @@
 //! centred on the incumbent.
 
 use boils_gp::{
-    expected_improvement, hypervolume_improvement_2d, ConstantLiar, Gp, NotPositiveDefiniteError,
-    Scalarisation, SskKernel, Surrogate, SurrogateConfig, SurrogateDiagnostics, TrainConfig,
+    expected_improvement, hypervolume_improvement_2d, ConstantLiar, Gp, Kernel,
+    NotPositiveDefiniteError, Scalarisation, SskKernel, Surrogate, SurrogateConfig,
+    SurrogateDiagnostics, TrainConfig,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -310,10 +311,7 @@ pub struct RunDiagnostics {
 /// objective's own vector when it can produce one, otherwise the raw
 /// `(area, delay)` pair; quarantined sentinels map to a worst-case vector
 /// so they can never join (or distort) the nondominated archive.
-pub(crate) fn mo_vector<O: SequenceObjective + ?Sized>(
-    objective: &O,
-    record: &EvalRecord,
-) -> Vec<f64> {
+fn mo_vector<O: SequenceObjective + ?Sized>(objective: &O, record: &EvalRecord) -> Vec<f64> {
     if record.point.is_quarantined() {
         return vec![QUARANTINE_QOR; 2];
     }
@@ -325,7 +323,7 @@ pub(crate) fn mo_vector<O: SequenceObjective + ?Sized>(
 /// A fixed hypervolume reference for a run: componentwise 1.1× the worst
 /// non-quarantined cost of the initial design. Fixed after the design so
 /// hypervolume gains are comparable across the whole run.
-pub(crate) fn mo_reference(vectors: &[Vec<f64>]) -> (f64, f64) {
+fn mo_reference(vectors: &[Vec<f64>]) -> (f64, f64) {
     let mut reference = (0.0f64, 0.0f64);
     let mut seen = false;
     for v in vectors {
@@ -343,7 +341,7 @@ pub(crate) fn mo_reference(vectors: &[Vec<f64>]) -> (f64, f64) {
 }
 
 /// The 2-D projections of the non-quarantined cost vectors in `vectors`.
-pub(crate) fn mo_points(vectors: &[Vec<f64>]) -> Vec<(f64, f64)> {
+fn mo_points(vectors: &[Vec<f64>]) -> Vec<(f64, f64)> {
     vectors
         .iter()
         .filter(|v| v.len() == 2 && v[0] < QUARANTINE_QOR)
@@ -353,7 +351,7 @@ pub(crate) fn mo_points(vectors: &[Vec<f64>]) -> Vec<(f64, f64)> {
 
 /// Outcome of the freshness guard around one proposed candidate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum FreshOutcome {
+enum FreshOutcome {
     /// The acquisition's own argmax was fresh.
     Direct,
     /// A random resample (inside the trust region, if any) was fresh.
@@ -379,7 +377,7 @@ pub(crate) enum FreshOutcome {
 /// point anywhere beats re-buying a known value. Only when the sweep wraps
 /// all the way around (every one of the `alphabet^K` sequences is taken)
 /// does it concede and return the duplicate.
-pub(crate) fn fresh_candidate<O, R>(
+fn fresh_candidate<O, R>(
     objective: &O,
     space: &SequenceSpace,
     trust_region: Option<(&[u8], usize)>,
@@ -496,14 +494,156 @@ impl Boils {
         objective: &O,
         control: &RunControl,
     ) -> Result<OptimizationResult, RunBoilsError> {
-        if self.config.multi_objective {
-            // A separate loop: the scalar path below stays bit-identical
-            // to the frozen pre-refactor trajectories.
-            return self.run_multi_objective(objective, control);
-        }
         let cfg = &self.config;
-        self.diagnostics = RunDiagnostics::default();
-        self.diagnostics.objective = objective.cost_name();
+        let kernel = SskKernel::new(cfg.ssk_order);
+        let kernel = if cfg.normalize_kernel {
+            kernel
+        } else {
+            kernel.without_normalization()
+        };
+        let kernel = if cfg.incremental_surrogate {
+            kernel.with_match_caching()
+        } else {
+            // Benchmarking baseline: reproduce the seed's cost model
+            // (self-similarities recomputed inside every pair evaluation,
+            // no match-structure cache). Bit-identical values either way.
+            kernel.without_info_caching()
+        };
+        let region = Some(TrustRegion::new(cfg));
+        let diagnostics = &mut self.diagnostics;
+        if cfg.multi_objective {
+            run_parego(cfg, &kernel, region, objective, control, diagnostics)
+        } else {
+            run_scalar(cfg, &kernel, region, objective, control, diagnostics)
+        }
+    }
+}
+
+/// What a BO loop's surrogate sees of a token sequence, and the kernel it
+/// compares inputs with: BOiLS models the tokens themselves with the SSK,
+/// SBO a one-hot embedding with a squared-exponential kernel. The kernel
+/// value is the template every fit starts from.
+pub(crate) trait SurrogateInput {
+    /// The GP's input type.
+    type X: Clone;
+    /// The kernel over [`SurrogateInput::X`].
+    type K: Kernel<Self::X> + Clone;
+
+    /// The kernel template.
+    fn kernel(&self) -> Self::K;
+
+    /// The GP input for a sequence (a training point or a lie).
+    fn embed(&self, tokens: &[u8]) -> Self::X;
+
+    /// The posterior `(mean, variance)` at a sequence. The acquisition
+    /// search calls this hundreds of times per iteration, so an input type
+    /// that is the token vector itself predicts in place, without a copy
+    /// (hence `&Vec<u8>`: the GP predicts at `&X`).
+    #[allow(clippy::ptr_arg)]
+    fn predict(&self, gp: &Gp<Self::K, Self::X>, tokens: &Vec<u8>) -> (f64, f64);
+}
+
+impl SurrogateInput for SskKernel {
+    type X = Vec<u8>;
+    type K = SskKernel;
+
+    fn kernel(&self) -> SskKernel {
+        self.clone()
+    }
+
+    fn embed(&self, tokens: &[u8]) -> Vec<u8> {
+        tokens.to_vec()
+    }
+
+    fn predict(&self, gp: &Gp<SskKernel, Vec<u8>>, tokens: &Vec<u8>) -> (f64, f64) {
+        gp.predict(tokens)
+    }
+}
+
+/// The success/failure radius schedule of Algorithm 2 (lines 4 and 10).
+///
+/// BOiLS always runs it — with `use_trust_region: false` the radius only
+/// stops restricting the acquisition search, while the schedule and its
+/// random restarts still run. SBO runs without one.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct TrustRegion {
+    radius: usize,
+    successes: usize,
+    failures: usize,
+    success_tolerance: usize,
+    fail_tolerance: usize,
+    max_radius: usize,
+}
+
+impl TrustRegion {
+    /// The schedule of `cfg`, its radius starting at `K`.
+    fn new(cfg: &BoilsConfig) -> TrustRegion {
+        TrustRegion {
+            radius: cfg.space.length(),
+            successes: 0,
+            failures: 0,
+            success_tolerance: cfg.success_tolerance,
+            fail_tolerance: cfg.fail_tolerance,
+            max_radius: cfg.space.length(),
+        }
+    }
+
+    /// Advances the schedule by one acquisition decision. Returns `true`
+    /// when the radius collapsed to zero and was reset to `K` (a restart).
+    fn step(&mut self, improved: bool) -> bool {
+        if improved {
+            self.successes += 1;
+            self.failures = 0;
+            if self.successes >= self.success_tolerance {
+                self.radius = (self.radius + 1).min(self.max_radius);
+                self.successes = 0;
+            }
+        } else {
+            self.successes = 0;
+            self.failures += 1;
+            if self.failures >= self.fail_tolerance {
+                self.radius = self.radius.saturating_sub(1);
+                self.failures = 0;
+            }
+        }
+        if self.radius > 0 {
+            return false;
+        }
+        self.radius = self.max_radius;
+        self.successes = 0;
+        self.failures = 0;
+        true
+    }
+}
+
+/// One BO run in progress, shared by the scalar and ParEGO loops: the
+/// settings, the surrogate input, the evaluated history and the RNG.
+struct BoRun<'a, I, O> {
+    cfg: &'a BoilsConfig,
+    input: &'a I,
+    objective: &'a O,
+    control: &'a RunControl,
+    diagnostics: &'a mut RunDiagnostics,
+    engine: BatchEvaluator,
+    rng: StdRng,
+    history: Vec<EvalRecord>,
+    stop: Option<StopReason>,
+}
+
+impl<'a, I: SurrogateInput, O: SequenceObjective> BoRun<'a, I, O> {
+    /// Resets `diagnostics`, checks the budget, and evaluates the initial
+    /// design (Algorithm 2, line 3): a Latin hypercube over categories,
+    /// deduplicated, evaluated as one prefix-aware parallel batch.
+    fn start(
+        cfg: &'a BoilsConfig,
+        input: &'a I,
+        warm_start: Option<&WarmStart>,
+        objective: &'a O,
+        control: &'a RunControl,
+        diagnostics: &'a mut RunDiagnostics,
+    ) -> Result<Self, RunBoilsError> {
+        *diagnostics = RunDiagnostics::default();
+        diagnostics.objective = objective.cost_name();
         if cfg.max_evaluations < cfg.initial_samples.max(2) {
             return Err(RunBoilsError::BudgetTooSmall {
                 budget: cfg.max_evaluations,
@@ -511,12 +651,7 @@ impl Boils {
             });
         }
         let space = cfg.space;
-        let engine = BatchEvaluator::new(cfg.threads);
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut history: Vec<EvalRecord> = Vec::with_capacity(cfg.max_evaluations);
-
-        // -- Initial design (line 3): Latin hypercube over categories,
-        // deduplicated, then evaluated as one prefix-aware parallel batch.
         let mut initial: Vec<Vec<u8>> = Vec::with_capacity(cfg.initial_samples);
         for tokens in space.latin_hypercube(cfg.initial_samples, &mut rng) {
             if initial.len() >= cfg.max_evaluations {
@@ -532,7 +667,7 @@ impl Boils {
         // exactly the draws an unseeded run would — `warm_start: None`
         // stays bit-identical — and each seed is re-evaluated exactly on
         // this circuit by the very same batch below.
-        if let Some(warm) = &cfg.warm_start {
+        if let Some(warm) = warm_start {
             let valid = |tokens: &[u8]| {
                 tokens.len() == space.length()
                     && tokens.iter().all(|&t| usize::from(t) < space.alphabet())
@@ -550,447 +685,326 @@ impl Boils {
                 slot += 1;
             }
         }
-        let outcome = engine.evaluate_grouped_controlled(objective, &initial, control);
-        self.diagnostics
-            .quarantined
-            .extend(outcome.quarantined.iter().cloned());
-        let mut stop = outcome.stopped;
-        for (tokens, point) in outcome.resolved_prefix(&initial) {
-            history.push(EvalRecord { tokens, point });
-        }
-        if history.is_empty() {
+        let mut run = BoRun {
+            cfg,
+            input,
+            objective,
+            control,
+            diagnostics,
+            engine: BatchEvaluator::new(cfg.threads),
+            rng,
+            history: Vec::with_capacity(cfg.max_evaluations),
+            stop: None,
+        };
+        run.evaluate(&initial);
+        if run.history.is_empty() {
             return Err(RunBoilsError::Interrupted(
-                stop.unwrap_or(StopReason::Cancelled),
+                run.stop.unwrap_or(StopReason::Cancelled),
             ));
         }
-
-        // -- Trust-region state (line 4): radius starts at K.
-        let mut radius = space.length();
-        let mut successes = 0usize;
-        let mut failures = 0usize;
-        // The TR centre is the best point since the last restart; the global
-        // best is tracked through `history`.
-        let mut center = best_of(&history).clone();
-        // The surrogate subsystem owns the whole fit → extend → retrain →
-        // forget lifecycle: the evals-since-retrain cadence, the carried
-        // kernel hyperparameters, the O(n²) factor extensions between
-        // retrains, and (with `surrogate_window`) sliding-window eviction
-        // with incumbent pinning. Retraining is paced by observations
-        // since the last retrain, not by `history.len() % retrain_every`:
-        // a modulo test silently skips retraining whenever an iteration
-        // appends more than one record (a trust-region restart, or any
-        // `batch_size > 1` batch).
-        let kernel_template = {
-            let k = SskKernel::new(cfg.ssk_order);
-            let k = if cfg.normalize_kernel {
-                k
-            } else {
-                k.without_normalization()
-            };
-            if cfg.incremental_surrogate {
-                k.with_match_caching()
-            } else {
-                // Benchmarking baseline: reproduce the seed's cost model
-                // (self-similarities recomputed inside every pair
-                // evaluation, no match-structure cache). Bit-identical
-                // values either way.
-                k.without_info_caching()
-            }
-        };
-        let mut surrogate: Surrogate<SskKernel, Vec<u8>> = Surrogate::new(
-            kernel_template,
-            SurrogateConfig {
-                noise: cfg.noise,
-                retrain_every: cfg.retrain_every,
-                incremental: cfg.incremental_surrogate,
-                window: cfg.surrogate_window,
-                train: cfg.train.clone(),
-            },
-        );
-        // Donor observations enter the GP first (prior shape only — they
-        // never join the history or the incumbent). A sequence the design
-        // already evaluated on *this* circuit is skipped: the exact
-        // target value is in the history, and a conflicting donor value
-        // would only smear it.
-        if let Some(warm) = &cfg.warm_start {
-            for (tokens, qor) in &warm.observations {
-                if tokens.is_empty()
-                    || !qor.is_finite()
-                    || history.iter().any(|r| &r.tokens == tokens)
-                {
-                    continue;
-                }
-                surrogate.seed(tokens.clone(), -qor);
-            }
-        }
-        for record in &history {
-            surrogate.observe(record.tokens.clone(), -record.point.qor);
-        }
-
-        // -- Optimisation loop (lines 6-11).
-        while stop.is_none() && history.len() < cfg.max_evaluations {
-            if let Some(reason) = control.stop_reason() {
-                stop = Some(reason);
-                break;
-            }
-            let incumbent = history
-                .iter()
-                .map(|r| -r.point.qor)
-                .fold(f64::NEG_INFINITY, f64::max);
-            let tr = if cfg.use_trust_region {
-                Some((center.tokens.as_slice(), radius))
-            } else {
-                None
-            };
-            let acquisition = cfg.acquisition;
-            let q = cfg
-                .batch_size
-                .max(1)
-                .min(cfg.max_evaluations - history.len());
-
-            // -- Acquisition maximisation (line 8): q candidates via the
-            // constant-liar heuristic against the freshly-synchronised
-            // surrogate. For `q == 1` no lie is ever told (the liar never
-            // clones the GP) and the loop below reduces exactly to the
-            // sequential algorithm.
-            let gp = surrogate.maybe_retrain()?;
-            let mut liar = ConstantLiar::new(gp, incumbent);
-            let mut batch: Vec<Vec<u8>> = Vec::with_capacity(q);
-            for proposed in 0..q {
-                let model = liar.model();
-                let ei = |tokens: &Vec<u8>| {
-                    let (mean, var) = model.predict(tokens);
-                    match acquisition {
-                        Acquisition::ExpectedImprovement => {
-                            expected_improvement(mean, var, incumbent)
-                        }
-                        Acquisition::UpperConfidenceBound { beta } => {
-                            mean + beta * var.max(0.0).sqrt()
-                        }
-                    }
-                };
-                let candidate = hill_climb(
-                    &space,
-                    tr,
-                    &ei,
-                    cfg.acq_restarts,
-                    cfg.acq_steps,
-                    cfg.acq_neighbors,
-                    &mut rng,
-                );
-                // Never waste budget on an already-evaluated sequence (or a
-                // within-batch duplicate).
-                let (candidate, outcome) =
-                    fresh_candidate(objective, &space, tr, &batch, candidate, &mut rng);
-                match outcome {
-                    FreshOutcome::Swept => self.diagnostics.sweep_rescues += 1,
-                    FreshOutcome::Exhausted => self.diagnostics.duplicate_evals += 1,
-                    FreshOutcome::Direct | FreshOutcome::Resampled => {}
-                }
-                if proposed + 1 < q {
-                    // A failed lie leaves the scratch model at the base GP;
-                    // the freshness guard still keeps proposals distinct.
-                    let _ = liar.accept(candidate.clone());
-                }
-                batch.push(candidate);
-            }
-            drop(liar);
-            self.diagnostics.batches += 1;
-
-            // -- Evaluate and update data (line 9): the whole batch goes
-            // through the engine as one prefix-aware parallel evaluation;
-            // the constant-liar fantasies above are discarded (`liar` held
-            // them, the surrogate's GP was never touched).
-            let outcome = engine.evaluate_grouped_controlled(objective, &batch, control);
-            self.diagnostics
-                .quarantined
-                .extend(outcome.quarantined.iter().cloned());
-            let batch_start = history.len();
-            for (tokens, point) in outcome.resolved_prefix(&batch) {
-                surrogate.observe(tokens.clone(), -point.qor);
-                history.push(EvalRecord { tokens, point });
-            }
-            if outcome.stopped.is_some() {
-                // The run is ending: the (possibly partial) resolved prefix
-                // is already in the history; the trust-region state below
-                // would never be read again.
-                stop = outcome.stopped;
-                break;
-            }
-
-            // -- Trust-region schedule (line 10): the batch is one
-            // acquisition decision, so it advances the success/failure
-            // schedule by one step, judged on its best point.
-            let best_new = history[batch_start..]
-                .iter()
-                .min_by(|a, b| a.point.qor.partial_cmp(&b.point.qor).expect("finite QoR"))
-                .expect("non-empty batch")
-                .clone();
-            let improved = best_new.point.qor < center.point.qor;
-            if improved {
-                center = best_new;
-                successes += 1;
-                failures = 0;
-                if successes >= cfg.success_tolerance {
-                    radius = (radius + 1).min(space.length());
-                    successes = 0;
-                }
-            } else {
-                successes = 0;
-                failures += 1;
-                if failures >= cfg.fail_tolerance {
-                    radius = radius.saturating_sub(1);
-                    failures = 0;
-                }
-            }
-            if radius == 0 {
-                // Restart: fresh region around a random point (evaluated,
-                // so it counts against the budget — and routed through the
-                // engine like every other evaluation, so accounting and
-                // instrumentation see it).
-                radius = space.length();
-                successes = 0;
-                failures = 0;
-                if history.len() < cfg.max_evaluations {
-                    let tokens = space.sample(&mut rng);
-                    if !objective.is_cached(&tokens) {
-                        let outcome = engine.evaluate_controlled(
-                            objective,
-                            std::slice::from_ref(&tokens),
-                            control,
-                        );
-                        self.diagnostics
-                            .quarantined
-                            .extend(outcome.quarantined.iter().cloned());
-                        match outcome.points[0] {
-                            Some(point) => {
-                                surrogate.observe(tokens.clone(), -point.qor);
-                                history.push(EvalRecord { tokens, point });
-                                center = history.last().expect("just pushed").clone();
-                            }
-                            None => stop = outcome.stopped,
-                        }
-                    }
-                }
-            }
-        }
-        self.diagnostics.retrains_at = surrogate.diagnostics().retrains_at.clone();
-        self.diagnostics.surrogate = surrogate.diagnostics().clone();
-        let termination = stop.map(Termination::from).unwrap_or_default();
-        self.diagnostics.termination = termination;
-        let mut result = OptimizationResult::from_history_terminated(&space, history, termination);
-        result.quarantined = self.diagnostics.quarantined.clone();
-        result.objective = self.diagnostics.objective.clone();
-        Ok(result)
+        Ok(run)
     }
 
-    /// The multi-objective BOiLS loop (ParEGO-style): each iteration draws
-    /// a fresh random-weight augmented-Chebyshev [`Scalarisation`] of the
-    /// cost vectors, fits a GP on the scalarised history, and proposes a
-    /// constant-liar q-EI batch against it — across iterations the weight
-    /// ensemble sweeps the whole Pareto front, including its non-convex
-    /// regions. Trust-region progress is judged by 2-D hypervolume
-    /// improvement of the evaluated front; the result's
-    /// [`pareto_front`](OptimizationResult::pareto_front) is the
-    /// nondominated archive over every evaluation.
-    fn run_multi_objective<O: SequenceObjective>(
-        &mut self,
-        objective: &O,
-        control: &RunControl,
-    ) -> Result<OptimizationResult, RunBoilsError> {
-        let cfg = &self.config;
-        self.diagnostics = RunDiagnostics::default();
-        self.diagnostics.objective = objective.cost_name();
-        if cfg.max_evaluations < cfg.initial_samples.max(2) {
-            return Err(RunBoilsError::BudgetTooSmall {
-                budget: cfg.max_evaluations,
-                initial: cfg.initial_samples,
-            });
+    /// Whether another BO iteration runs: budget left, and neither an
+    /// earlier evaluation nor the control stopped the run.
+    fn running(&mut self) -> bool {
+        if self.stop.is_some() || self.history.len() >= self.cfg.max_evaluations {
+            return false;
         }
-        let space = cfg.space;
-        let engine = BatchEvaluator::new(cfg.threads);
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut history: Vec<EvalRecord> = Vec::with_capacity(cfg.max_evaluations);
+        self.stop = self.control.stop_reason();
+        self.stop.is_none()
+    }
 
-        let mut initial: Vec<Vec<u8>> = Vec::with_capacity(cfg.initial_samples);
-        for tokens in space.latin_hypercube(cfg.initial_samples, &mut rng) {
-            if initial.len() >= cfg.max_evaluations {
-                break;
+    /// Proposes one acquisition batch (Algorithm 2, line 8) of up to
+    /// `batch_size` candidates via the constant-liar heuristic against
+    /// `gp`. For `q == 1` no lie is ever told (the liar never clones the
+    /// GP) and this reduces exactly to the sequential algorithm. The lies
+    /// are discarded with the liar; `gp` itself is never touched.
+    fn propose(
+        &mut self,
+        gp: &Gp<I::K, I::X>,
+        incumbent: f64,
+        tr: Option<(&[u8], usize)>,
+    ) -> Vec<Vec<u8>> {
+        let cfg = self.cfg;
+        let input = self.input;
+        let q = cfg
+            .batch_size
+            .max(1)
+            .min(cfg.max_evaluations - self.history.len());
+        let mut liar = ConstantLiar::new(gp, incumbent);
+        let mut batch: Vec<Vec<u8>> = Vec::with_capacity(q);
+        for proposed in 0..q {
+            let model = liar.model();
+            let score = |tokens: &Vec<u8>| {
+                let (mean, var) = input.predict(model, tokens);
+                match cfg.acquisition {
+                    Acquisition::ExpectedImprovement => expected_improvement(mean, var, incumbent),
+                    Acquisition::UpperConfidenceBound { beta } => mean + beta * var.max(0.0).sqrt(),
+                }
+            };
+            let candidate = hill_climb(
+                &cfg.space,
+                tr,
+                &score,
+                cfg.acq_restarts,
+                cfg.acq_steps,
+                cfg.acq_neighbors,
+                &mut self.rng,
+            );
+            // Never waste budget on an already-evaluated sequence (or a
+            // within-batch duplicate).
+            let (candidate, outcome) = fresh_candidate(
+                self.objective,
+                &cfg.space,
+                tr,
+                &batch,
+                candidate,
+                &mut self.rng,
+            );
+            match outcome {
+                FreshOutcome::Swept => self.diagnostics.sweep_rescues += 1,
+                FreshOutcome::Exhausted => self.diagnostics.duplicate_evals += 1,
+                FreshOutcome::Direct | FreshOutcome::Resampled => {}
             }
-            if initial.contains(&tokens) {
-                continue;
+            if proposed + 1 < q {
+                // A failed lie leaves the scratch model at the base GP;
+                // the freshness guard still keeps proposals distinct.
+                let _ = liar.accept(input.embed(&candidate));
             }
-            initial.push(tokens);
+            batch.push(candidate);
         }
-        let outcome = engine.evaluate_grouped_controlled(objective, &initial, control);
+        self.diagnostics.batches += 1;
+        batch
+    }
+
+    /// Evaluates `batch` as one prefix-aware parallel batch (Algorithm 2,
+    /// line 9), appends its resolved prefix to the history and records
+    /// why the run stopped, if it did. Returns the index of the batch's
+    /// first record.
+    fn evaluate(&mut self, batch: &[Vec<u8>]) -> usize {
+        let outcome = self
+            .engine
+            .evaluate_grouped_controlled(self.objective, batch, self.control);
         self.diagnostics
             .quarantined
             .extend(outcome.quarantined.iter().cloned());
-        let mut stop = outcome.stopped;
-        for (tokens, point) in outcome.resolved_prefix(&initial) {
-            history.push(EvalRecord { tokens, point });
+        let batch_start = self.history.len();
+        for (tokens, point) in outcome.resolved_prefix(batch) {
+            self.history.push(EvalRecord { tokens, point });
         }
-        if history.is_empty() {
-            return Err(RunBoilsError::Interrupted(
-                stop.unwrap_or(StopReason::Cancelled),
-            ));
-        }
-        let mut vectors: Vec<Vec<f64>> = history
-            .iter()
-            .map(|record| mo_vector(objective, record))
-            .collect();
-        let dim = vectors
-            .iter()
-            .find(|v| v.first().copied().unwrap_or(QUARANTINE_QOR) < QUARANTINE_QOR)
-            .map_or(2, Vec::len);
-        let reference = mo_reference(&vectors);
+        self.stop = outcome.stopped;
+        batch_start
+    }
 
-        let kernel_template = {
-            let k = SskKernel::new(cfg.ssk_order);
-            let k = if cfg.normalize_kernel {
-                k
-            } else {
-                k.without_normalization()
-            };
-            // Scalarised targets change every iteration, so the GP is
-            // refitted per iteration rather than extended; the shared
-            // match-structure cache keeps each refit's Gram fill warm.
-            if cfg.incremental_surrogate {
-                k.with_match_caching()
-            } else {
-                k.without_info_caching()
-            }
+    /// A trust-region restart point: a random sequence, evaluated (so it
+    /// counts against the budget, routed through the engine like every
+    /// other evaluation) unless it is memoised already.
+    fn restart_point(&mut self) -> Option<EvalRecord> {
+        let tokens = self.cfg.space.sample(&mut self.rng);
+        if self.objective.is_cached(&tokens) {
+            return None;
+        }
+        let outcome = self.engine.evaluate_controlled(
+            self.objective,
+            std::slice::from_ref(&tokens),
+            self.control,
+        );
+        self.diagnostics
+            .quarantined
+            .extend(outcome.quarantined.iter().cloned());
+        let Some(point) = outcome.points[0] else {
+            self.stop = outcome.stopped;
+            return None;
         };
+        self.history.push(EvalRecord { tokens, point });
+        self.history.last().cloned()
+    }
 
-        let mut radius = space.length();
-        let mut successes = 0usize;
-        let mut failures = 0usize;
-        while stop.is_none() && history.len() < cfg.max_evaluations {
-            if let Some(reason) = control.stop_reason() {
-                stop = Some(reason);
-                break;
+    /// The run's result, with the diagnostics mirroring its termination.
+    fn finish(self) -> OptimizationResult {
+        let termination = self.stop.map(Termination::from).unwrap_or_default();
+        self.diagnostics.termination = termination;
+        let mut result =
+            OptimizationResult::from_history_terminated(&self.cfg.space, self.history, termination);
+        result.quarantined = self.diagnostics.quarantined.clone();
+        result.objective = self.diagnostics.objective.clone();
+        result
+    }
+}
+
+/// The scalar BO loop (Algorithm 2) shared by BOiLS and SBO: the
+/// surrogate models `−cost` over `input`'s embedding, and `region` (BOiLS
+/// only) runs the trust-region schedule.
+pub(crate) fn run_scalar<I: SurrogateInput, O: SequenceObjective>(
+    cfg: &BoilsConfig,
+    input: &I,
+    mut region: Option<TrustRegion>,
+    objective: &O,
+    control: &RunControl,
+    diagnostics: &mut RunDiagnostics,
+) -> Result<OptimizationResult, RunBoilsError> {
+    let warm_start = cfg.warm_start.as_ref();
+    let mut run = BoRun::start(cfg, input, warm_start, objective, control, diagnostics)?;
+    // The TR centre is the best point since the last restart; the global
+    // best is tracked through the history.
+    let mut center = best_of(&run.history).clone();
+    // The surrogate subsystem owns the whole fit → extend → retrain →
+    // forget lifecycle: the evals-since-retrain cadence, the carried
+    // kernel hyperparameters, the O(n²) factor extensions between
+    // retrains, and (with `surrogate_window`) sliding-window eviction with
+    // incumbent pinning. Retraining is paced by observations since the
+    // last retrain, not by `history.len() % retrain_every`: a modulo test
+    // silently skips retraining whenever an iteration appends more than
+    // one record (a trust-region restart, or any `batch_size > 1` batch).
+    let mut surrogate: Surrogate<I::K, I::X> = Surrogate::new(
+        input.kernel(),
+        SurrogateConfig {
+            noise: cfg.noise,
+            retrain_every: cfg.retrain_every,
+            incremental: cfg.incremental_surrogate,
+            window: cfg.surrogate_window,
+            train: cfg.train.clone(),
+        },
+    );
+    // Donor observations enter the GP first (prior shape only — they never
+    // join the history or the incumbent). A sequence the design already
+    // evaluated on *this* circuit is skipped: the exact target value is in
+    // the history, and a conflicting donor value would only smear it.
+    if let Some(warm) = warm_start {
+        for (tokens, qor) in &warm.observations {
+            if tokens.is_empty()
+                || !qor.is_finite()
+                || run.history.iter().any(|r| &r.tokens == tokens)
+            {
+                continue;
             }
-            // One random scalarisation per acquisition decision (ParEGO).
-            let scalarisation = Scalarisation::sample(dim, &mut rng);
-            let ys: Vec<f64> = vectors
-                .iter()
-                .map(|v| -scalarisation.scalarise(v))
-                .collect();
-            let xs: Vec<Vec<u8>> = history.iter().map(|r| r.tokens.clone()).collect();
-            let gp: Gp<SskKernel, Vec<u8>> =
-                Gp::fit(kernel_template.clone(), xs, ys.clone(), cfg.noise)?;
-            let incumbent = ys.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            // The trust region re-centres on the current scalarisation's
-            // best point: each weight draw explores around a different
-            // part of the front.
-            let center_tokens = ys
+            surrogate.seed(input.embed(tokens), -qor);
+        }
+    }
+    for record in &run.history {
+        surrogate.observe(input.embed(&record.tokens), -record.point.qor);
+    }
+
+    // -- Optimisation loop (lines 6-11).
+    while run.running() {
+        let incumbent = run
+            .history
+            .iter()
+            .map(|r| -r.point.qor)
+            .fold(f64::NEG_INFINITY, f64::max);
+        let tr = match region {
+            Some(region) if cfg.use_trust_region => Some((center.tokens.as_slice(), region.radius)),
+            _ => None,
+        };
+        let gp = surrogate.maybe_retrain()?;
+        let batch = run.propose(gp, incumbent, tr);
+        let batch_start = run.evaluate(&batch);
+        for record in &run.history[batch_start..] {
+            surrogate.observe(input.embed(&record.tokens), -record.point.qor);
+        }
+        // On a stop, the (possibly partial) resolved prefix is already in
+        // the history; the schedule below would never be read again.
+        let Some(region) = region.as_mut().filter(|_| run.stop.is_none()) else {
+            continue;
+        };
+        // -- Trust-region schedule (line 10): the batch is one acquisition
+        // decision, so it advances the schedule by one step, judged on its
+        // best point. A collapsed radius restarts the region around a
+        // random point.
+        let best_new = best_of(&run.history[batch_start..]).clone();
+        if best_new.point.qor < center.point.qor {
+            center = best_new;
+            region.step(true);
+        } else if region.step(false) && run.history.len() < cfg.max_evaluations {
+            if let Some(record) = run.restart_point() {
+                surrogate.observe(input.embed(&record.tokens), -record.point.qor);
+                center = record;
+            }
+        }
+    }
+    run.diagnostics.retrains_at = surrogate.diagnostics().retrains_at.clone();
+    run.diagnostics.surrogate = surrogate.diagnostics().clone();
+    Ok(run.finish())
+}
+
+/// The multi-objective BO loop (ParEGO-style) shared by BOiLS and SBO:
+/// each iteration draws a fresh random-weight augmented-Chebyshev
+/// [`Scalarisation`] of the cost vectors, fits a GP on the scalarised
+/// history, and proposes a constant-liar q-EI batch against it — across
+/// iterations the weight ensemble sweeps the whole Pareto front, including
+/// its non-convex regions. With a `region` (BOiLS), trust-region progress
+/// is judged by 2-D hypervolume improvement of the evaluated front, and a
+/// collapsed radius is simply reset. The result's
+/// [`pareto_front`](OptimizationResult::pareto_front) is the nondominated
+/// archive over every evaluation.
+pub(crate) fn run_parego<I: SurrogateInput, O: SequenceObjective>(
+    cfg: &BoilsConfig,
+    input: &I,
+    mut region: Option<TrustRegion>,
+    objective: &O,
+    control: &RunControl,
+    diagnostics: &mut RunDiagnostics,
+) -> Result<OptimizationResult, RunBoilsError> {
+    let mut run = BoRun::start(cfg, input, None, objective, control, diagnostics)?;
+    let mut vectors: Vec<Vec<f64>> = run
+        .history
+        .iter()
+        .map(|record| mo_vector(objective, record))
+        .collect();
+    let dim = vectors
+        .iter()
+        .find(|v| v.first().copied().unwrap_or(QUARANTINE_QOR) < QUARANTINE_QOR)
+        .map_or(2, Vec::len);
+    let reference = mo_reference(&vectors);
+    // Scalarised targets change every iteration, so the GP is refitted per
+    // iteration rather than extended; a match-caching SSK keeps each
+    // refit's Gram fill warm.
+    let kernel = input.kernel();
+    while run.running() {
+        // One random scalarisation per acquisition decision (ParEGO).
+        let scalarisation = Scalarisation::sample(dim, &mut run.rng);
+        let ys: Vec<f64> = vectors
+            .iter()
+            .map(|v| -scalarisation.scalarise(v))
+            .collect();
+        let xs: Vec<I::X> = run.history.iter().map(|r| input.embed(&r.tokens)).collect();
+        let gp = Gp::fit(kernel.clone(), xs, ys.clone(), cfg.noise)?;
+        let incumbent = ys.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        // The trust region re-centres on the current scalarisation's best
+        // point: each weight draw explores around a different part of the
+        // front.
+        let center = match region {
+            Some(region) if cfg.use_trust_region => ys
                 .iter()
                 .enumerate()
                 .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite scalarised cost"))
-                .map(|(i, _)| history[i].tokens.clone())
-                .expect("non-empty history");
-            let tr = if cfg.use_trust_region {
-                Some((center_tokens.as_slice(), radius))
-            } else {
-                None
-            };
-            let acquisition = cfg.acquisition;
-            let q = cfg
-                .batch_size
-                .max(1)
-                .min(cfg.max_evaluations - history.len());
-            let mut liar = ConstantLiar::new(&gp, incumbent);
-            let mut batch: Vec<Vec<u8>> = Vec::with_capacity(q);
-            for proposed in 0..q {
-                let model = liar.model();
-                let ei = |tokens: &Vec<u8>| {
-                    let (mean, var) = model.predict(tokens);
-                    match acquisition {
-                        Acquisition::ExpectedImprovement => {
-                            expected_improvement(mean, var, incumbent)
-                        }
-                        Acquisition::UpperConfidenceBound { beta } => {
-                            mean + beta * var.max(0.0).sqrt()
-                        }
-                    }
-                };
-                let candidate = hill_climb(
-                    &space,
-                    tr,
-                    &ei,
-                    cfg.acq_restarts,
-                    cfg.acq_steps,
-                    cfg.acq_neighbors,
-                    &mut rng,
-                );
-                let (candidate, outcome) =
-                    fresh_candidate(objective, &space, tr, &batch, candidate, &mut rng);
-                match outcome {
-                    FreshOutcome::Swept => self.diagnostics.sweep_rescues += 1,
-                    FreshOutcome::Exhausted => self.diagnostics.duplicate_evals += 1,
-                    FreshOutcome::Direct | FreshOutcome::Resampled => {}
-                }
-                if proposed + 1 < q {
-                    let _ = liar.accept(candidate.clone());
-                }
-                batch.push(candidate);
-            }
-            drop(liar);
-            drop(gp);
-            self.diagnostics.batches += 1;
-
-            let outcome = engine.evaluate_grouped_controlled(objective, &batch, control);
-            self.diagnostics
-                .quarantined
-                .extend(outcome.quarantined.iter().cloned());
-            let batch_start = history.len();
-            for (tokens, point) in outcome.resolved_prefix(&batch) {
-                history.push(EvalRecord { tokens, point });
-            }
-            for record in &history[batch_start..] {
-                vectors.push(mo_vector(objective, record));
-            }
-            if outcome.stopped.is_some() {
-                stop = outcome.stopped;
-                break;
-            }
-
-            // The batch counts as one acquisition decision; it succeeds if
-            // any of its points grows the dominated hypervolume of the
-            // pre-batch front.
-            let front_before = mo_points(&vectors[..batch_start]);
-            let improved = dim == 2
-                && mo_points(&vectors[batch_start..])
-                    .into_iter()
-                    .any(|p| hypervolume_improvement_2d(&front_before, p, reference) > 0.0);
-            if improved {
-                successes += 1;
-                failures = 0;
-                if successes >= cfg.success_tolerance {
-                    radius = (radius + 1).min(space.length());
-                    successes = 0;
-                }
-            } else {
-                successes = 0;
-                failures += 1;
-                if failures >= cfg.fail_tolerance {
-                    radius = radius.saturating_sub(1);
-                    failures = 0;
-                }
-            }
-            if radius == 0 {
-                radius = space.length();
-                successes = 0;
-                failures = 0;
-            }
+                .map(|(i, _)| (run.history[i].tokens.clone(), region.radius)),
+            _ => None,
+        };
+        let tr = center
+            .as_ref()
+            .map(|(tokens, radius)| (tokens.as_slice(), *radius));
+        let batch = run.propose(&gp, incumbent, tr);
+        drop(gp);
+        let batch_start = run.evaluate(&batch);
+        for record in &run.history[batch_start..] {
+            vectors.push(mo_vector(objective, record));
         }
-        let termination = stop.map(Termination::from).unwrap_or_default();
-        self.diagnostics.termination = termination;
-        let mut result = OptimizationResult::from_history_terminated(&space, history, termination);
-        result.quarantined = self.diagnostics.quarantined.clone();
-        result.objective = self.diagnostics.objective.clone();
-        Ok(result)
+        let Some(region) = region.as_mut().filter(|_| run.stop.is_none()) else {
+            continue;
+        };
+        // The batch counts as one acquisition decision; it succeeds if any
+        // of its points grows the dominated hypervolume of the pre-batch
+        // front.
+        let front_before = mo_points(&vectors[..batch_start]);
+        let improved = dim == 2
+            && mo_points(&vectors[batch_start..])
+                .into_iter()
+                .any(|p| hypervolume_improvement_2d(&front_before, p, reference) > 0.0);
+        region.step(improved);
     }
+    Ok(run.finish())
 }
 
 fn best_of(history: &[EvalRecord]) -> &EvalRecord {
@@ -1002,7 +1016,7 @@ fn best_of(history: &[EvalRecord]) -> &EvalRecord {
 
 /// First-improvement hill climbing on an acquisition function, optionally
 /// restricted to a Hamming ball. Shared by BOiLS and SBO.
-pub(crate) fn hill_climb<R: Rng>(
+fn hill_climb<R: Rng>(
     space: &SequenceSpace,
     trust_region: Option<(&[u8], usize)>,
     acquisition: &dyn Fn(&Vec<u8>) -> f64,

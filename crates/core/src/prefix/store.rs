@@ -18,11 +18,10 @@
 //!   the prefix to its payload hash, so lookups stay keyed exactly as
 //!   before while the bytes dedup underneath.
 //!
-//! Entries written by the pre-split format (`bps1`: header + payload in
-//! one file) are adopted on open and *re-pointed* — the payload is moved
-//! into the content-addressed layer and the old file atomically replaced
-//! by a pointer — never rewritten in place, so a directory shared with
-//! older runs keeps every warm hit.
+//! Entries in any other format under a pointer name — including the
+//! retired pre-split `bps1` format (header + payload in one file) — are
+//! dropped as corrupt, so an old cache directory is merely cold, never
+//! wrong.
 //!
 //! Design constraints, in order:
 //!
@@ -75,10 +74,6 @@ use crate::fault::{FaultInjector, FaultKind, FaultOp};
 /// paper-scale sweep on one circuit (≈ 4 000 prefixes × ~10 KiB each)
 /// resident many times over, while bounding unattended cache directories.
 pub const DEFAULT_PERSIST_BYTE_BUDGET: u64 = 256 * 1024 * 1024;
-
-/// Magic tag of the pre-split entry format (header + payload in one
-/// file). Still *read* — and migrated — never written.
-const LEGACY_MAGIC: &str = "bps1";
 
 /// Magic tag opening every pointer file (versioned: bump on change).
 const POINTER_MAGIC: &str = "bpt1";
@@ -278,7 +273,7 @@ fn parse_pointer_name(name: &str) -> Option<(u64, &str)> {
 }
 
 /// The hex spelling of a token prefix (the key spelling used in file
-/// names, pointer bodies and legacy headers alike).
+/// names and pointer bodies alike).
 fn prefix_hex(prefix: &[u8]) -> String {
     let mut hex = String::with_capacity(2 * prefix.len());
     for &token in prefix {
@@ -366,33 +361,6 @@ fn decode_payload(bytes: &[u8], payload_hash: u64) -> Option<Aig> {
     Some(aig)
 }
 
-/// Validates and parses a pre-split (`bps1`) entry against the key its
-/// file name spells. `None` means "do not trust this entry".
-fn decode_legacy(bytes: &[u8], circuit: u64, expected_prefix_hex: &str) -> Option<Aig> {
-    let newline = bytes.iter().position(|&b| b == b'\n')?;
-    let header = std::str::from_utf8(&bytes[..newline]).ok()?;
-    let mut fields = header.split(' ');
-    if fields.next()? != LEGACY_MAGIC {
-        return None;
-    }
-    if u64::from_str_radix(fields.next()?, 16).ok()? != circuit {
-        return None;
-    }
-    if fields.next()? != expected_prefix_hex {
-        return None;
-    }
-    let payload_len: usize = fields.next()?.parse().ok()?;
-    let checksum = u64::from_str_radix(fields.next()?, 16).ok()?;
-    if fields.next().is_some() {
-        return None;
-    }
-    let payload = bytes.get(newline + 1..)?;
-    if payload.len() != payload_len || boils_aig::fnv1a64(payload) != checksum {
-        return None;
-    }
-    Aig::read_aig_binary(payload).ok()
-}
-
 /// A transfer donor: the most feature-similar circuit the store has
 /// recorded history for, with its best observations (QoR ascending).
 #[derive(Debug, Clone)]
@@ -462,10 +430,8 @@ impl PersistentPrefixStore {
     /// Loading is tolerant by construction: malformed index lines and
     /// index entries whose file has meanwhile disappeared are dropped,
     /// files the index does not know about are adopted from a directory
-    /// scan, and entries in the pre-split format are *migrated* — their
-    /// payload moved into the content-addressed layer and the entry file
-    /// atomically replaced by a pointer, preserving every warm hit with
-    /// zero recomputation.
+    /// scan, and entry files that do not validate as pointers (including
+    /// the retired `bps1` format) are counted as corrupt and deleted.
     ///
     /// # Errors
     ///
@@ -508,8 +474,9 @@ impl PersistentPrefixStore {
             }
         }
         // The directory is the source of truth. Payloads and index-known
-        // pointers adopt by stat alone; everything else (legacy entries,
-        // pointers the index has not seen) is read and classified.
+        // pointers adopt by stat alone; everything else (pointers the
+        // index has not seen, files of other formats) is read and
+        // classified.
         let mut classify: Vec<(String, u64)> = Vec::new();
         let mut pre_dropped = 0usize;
         for entry in fs::read_dir(&dir)? {
@@ -628,9 +595,9 @@ impl PersistentPrefixStore {
     }
 
     /// Reads and classifies one dash-named entry file the index could not
-    /// vouch for: a pointer adopts, a legacy entry migrates, anything
-    /// else — a file that parses as neither under the key its own name
-    /// spells — is deleted (it can never serve a hit, only waste budget).
+    /// vouch for: a pointer adopts; anything else — a file that does not
+    /// parse as a pointer under the key its own name spells — is deleted
+    /// (it can never serve a hit, only waste budget).
     fn classify_entry(&self, name: &str, stamp: u64) {
         let path = self.dir.join(name);
         let Some((circuit, prefix_hex)) = parse_pointer_name(name) else {
@@ -659,61 +626,15 @@ impl PersistentPrefixStore {
             }
             return;
         }
-        if let Some(aig) = decode_legacy(&bytes, circuit, prefix_hex) {
-            self.migrate_legacy(name, circuit, prefix_hex, &aig);
-            return;
-        }
-        // The name spelled a valid key but the content validates as
-        // neither format: corrupt, dropped, never trusted.
+        // The name spelled a valid key but the content is no pointer:
+        // corrupt, dropped, never trusted.
         self.corrupt_dropped.fetch_add(1, Ordering::Relaxed);
         let _ = fs::remove_file(&path);
     }
 
-    /// Re-points one validated legacy entry: its payload moves into the
-    /// content-addressed layer (unless already there — dedup applies to
-    /// migration too) and the entry file is atomically replaced by a
-    /// pointer. Best-effort: a failed write leaves the legacy file
-    /// untouched and readable — migration never costs a warm hit, and
-    /// its writes are maintenance, not load, so they skip the fault
-    /// injector and the circuit breaker alike.
-    fn migrate_legacy(&self, name: &str, circuit: u64, prefix_hex: &str, aig: &Aig) {
-        let payload_hash = aig.content_hash();
-        let payload_name = payload_file_name(payload_hash);
-        let payload_path = self.dir.join(&payload_name);
-        let payload_bytes = if payload_path.exists() {
-            fs::metadata(&payload_path).map(|m| m.len()).ok()
-        } else {
-            let bytes = encode_payload(payload_hash, aig);
-            self.plain_replace(&payload_name, &bytes)
-                .then_some(bytes.len() as u64)
-        };
-        let Some(payload_bytes) = payload_bytes else {
-            // Payload did not land: keep the legacy file as-is but index
-            // it as a (fat) pointer so the budget still sees its bytes;
-            // `load` reads legacy entries transparently.
-            let legacy_len = fs::metadata(self.dir.join(name))
-                .map(|m| m.len())
-                .unwrap_or(0);
-            self.lock_index()
-                .touch_pointer(name, legacy_len, payload_hash);
-            return;
-        };
-        let pointer = encode_pointer(circuit, prefix_hex, payload_hash);
-        let pointer_bytes = if self.plain_replace(name, &pointer) {
-            pointer.len() as u64
-        } else {
-            fs::metadata(self.dir.join(name))
-                .map(|m| m.len())
-                .unwrap_or(0)
-        };
-        let mut index = self.lock_index();
-        index.touch_payload(&payload_name, payload_bytes);
-        index.touch_pointer(name, pointer_bytes, payload_hash);
-    }
-
     /// An un-instrumented tempfile + atomic-rename write for maintenance
-    /// paths (migration, transfer metadata): best-effort, no fault
-    /// injection, no breaker accounting.
+    /// paths (transfer metadata): best-effort, no fault injection, no
+    /// breaker accounting.
     fn plain_replace(&self, name: &str, bytes: &[u8]) -> bool {
         let stamp = {
             let mut index = self.lock_index();
@@ -906,7 +827,7 @@ impl PersistentPrefixStore {
 
     /// Loads and validates one entry, without hit accounting. Returns
     /// `None` — after dropping whatever failed validation — on any
-    /// pointer, payload or legacy-entry failure.
+    /// pointer or payload failure.
     pub fn load(&self, prefix: &[u8]) -> Option<Aig> {
         let name = self.entry_name(prefix);
         let path = self.dir.join(&name);
@@ -928,12 +849,6 @@ impl PersistentPrefixStore {
         let hex = prefix_hex(prefix);
         if let Some(payload_hash) = decode_pointer(&bytes, self.circuit_hash, &hex) {
             return self.load_payload(&name, bytes.len() as u64, payload_hash);
-        }
-        if let Some(aig) = decode_legacy(&bytes, self.circuit_hash, &hex) {
-            // A pre-split entry written by an older process after our
-            // open-time scan: serve the hit and re-point it in passing.
-            self.migrate_legacy(&name, self.circuit_hash, &hex, &aig);
-            return Some(aig);
         }
         // Truncated, bit-rotted, foreign, or stale-format: drop it so
         // the next probe does not pay the read again.
@@ -1543,22 +1458,6 @@ mod tests {
         dir
     }
 
-    /// Serialises an entry in the pre-split (`bps1`) format, byte-for-byte
-    /// what the old store would have written — the migration fixture.
-    fn legacy_entry_bytes(circuit_hash: u64, prefix: &[u8], aig: &Aig) -> Vec<u8> {
-        let mut payload = Vec::new();
-        let _ = aig.write_aig_binary(&mut payload);
-        let mut out = format!(
-            "{LEGACY_MAGIC} {circuit_hash:016x} {} {} {:016x}\n",
-            prefix_hex(prefix),
-            payload.len(),
-            boils_aig::fnv1a64(&payload)
-        )
-        .into_bytes();
-        out.extend_from_slice(&payload);
-        out
-    }
-
     #[test]
     fn store_and_reload_round_trips_structurally() {
         let dir = temp_store_dir("roundtrip");
@@ -2008,58 +1907,43 @@ mod tests {
     }
 
     #[test]
-    fn legacy_entries_are_adopted_and_repointed_on_open() {
-        let dir = temp_store_dir("legacy");
+    fn retired_bps1_entries_are_dropped_as_corrupt() {
+        let dir = temp_store_dir("bps1");
         fs::create_dir_all(&dir).expect("mkdir");
         let base = random_aig(320, 6, 100, 2);
         let circuit = base.content_hash();
-        let one = random_aig(321, 6, 70, 2);
-        let two = random_aig(322, 6, 60, 2);
-        // Two pre-split entries, written the way the old store would
-        // have; the second prefix shares the first one's intermediate,
-        // so migration itself must dedup.
-        for (prefix, aig) in [
-            (&[1u8, 2][..], &one),
-            (&[7u8][..], &two),
-            (&[9u8, 9][..], &one),
-        ] {
-            let name = format!("{circuit:016x}-{}.aig", prefix_hex(prefix));
-            fs::write(dir.join(name), legacy_entry_bytes(circuit, prefix, aig)).expect("write");
+        // An entry in the retired pre-split format: a `bps1` header naming
+        // this very key, then the binary AIGER payload.
+        let bps1_entry = |prefix: &[u8]| {
+            let mut payload = Vec::new();
+            let _ = random_aig(321, 6, 70, 2).write_aig_binary(&mut payload);
+            let mut out = format!(
+                "bps1 {circuit:016x} {} {} {:016x}\n",
+                prefix_hex(prefix),
+                payload.len(),
+                boils_aig::fnv1a64(&payload)
+            )
+            .into_bytes();
+            out.extend_from_slice(&payload);
+            out
+        };
+        let name = |prefix: &[u8]| format!("{circuit:016x}-{}.aig", prefix_hex(prefix));
+        for prefix in [&[1u8, 2][..], &[7u8][..]] {
+            fs::write(dir.join(name(prefix)), bps1_entry(prefix)).expect("write");
         }
+        // On open: counted, deleted, never adopted.
         let store = PersistentPrefixStore::open_for(&dir, &base).expect("open");
-        // Every legacy entry was adopted; the shared intermediate keeps
-        // one payload.
-        assert_eq!(store.len(), 3);
-        assert_eq!(store.payload_count(), 2);
-        // Warm hits preserved — restored with zero recomputation and
-        // structurally identical to what the old format held.
-        assert_eq!(
-            store.load(&[1, 2]).expect("migrated").content_hash(),
-            one.content_hash()
-        );
-        assert_eq!(
-            store.load(&[9, 9]).expect("migrated").content_hash(),
-            one.content_hash()
-        );
-        assert_eq!(
-            store.load(&[7]).expect("migrated").content_hash(),
-            two.content_hash()
-        );
-        // The entry files were re-pointed, never rewritten in place: each
-        // now opens with the pointer magic and the payload lives once in
-        // the content-addressed layer.
-        for prefix in [&[1u8, 2][..], &[7u8][..], &[9u8, 9][..]] {
-            let bytes = fs::read(dir.join(store.entry_name(prefix))).expect("read");
-            assert!(bytes.starts_with(POINTER_MAGIC.as_bytes()));
-        }
-        // Migration is maintenance, not store traffic.
-        assert_eq!(store.stats().disk_writes, 0);
-        assert_eq!(store.stats().disk_corrupt_dropped, 0);
-        // A reopen sees the migrated layout and stays warm.
-        drop(store);
-        let reopened = PersistentPrefixStore::open_for(&dir, &base).expect("reopen");
-        assert_eq!(reopened.len(), 3);
-        assert!(reopened.load(&[1, 2]).is_some());
+        assert_eq!(store.len(), 0);
+        assert_eq!(store.payload_count(), 0);
+        assert_eq!(store.stats().disk_corrupt_dropped, 2);
+        assert!(!dir.join(name(&[1, 2])).exists());
+        assert!(!dir.join(name(&[7])).exists());
+        // One landing after the open-time scan: a load drops it the same
+        // way and serves nothing.
+        fs::write(dir.join(name(&[9, 9])), bps1_entry(&[9, 9])).expect("write");
+        assert!(store.load(&[9, 9]).is_none());
+        assert_eq!(store.stats().disk_corrupt_dropped, 3);
+        assert!(!dir.join(name(&[9, 9])).exists());
         let _ = fs::remove_dir_all(&dir);
     }
 

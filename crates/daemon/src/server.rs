@@ -29,6 +29,7 @@ use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
+use boils_baselines::RunSpec;
 use boils_circuits::CircuitSpec;
 use boils_core::{EvaluatorPool, JobId, OptimizationResult, RunControl, SequenceSpace, WorkerPool};
 
@@ -206,17 +207,13 @@ fn run_job(
     }));
     lock(jobs).remove(&id);
     let event = match outcome {
-        Ok(Ok(Some((summary, result)))) => {
+        Ok(Ok((summary, result))) => {
             lock(results).insert(id, result);
             Event::Finished {
                 job: id,
                 outcome: Box::new(summary),
             }
         }
-        Ok(Ok(None)) => Event::Failed {
-            job: id,
-            reason: "interrupted before the first evaluation completed".to_string(),
-        },
         Ok(Err(reason)) => Event::Failed { job: id, reason },
         Err(_) => Event::Failed {
             job: id,
@@ -230,7 +227,7 @@ fn execute(
     request: &JobRequest,
     control: &RunControl,
     evaluators: &EvaluatorPool,
-) -> Result<Option<(JobOutcome, OptimizationResult)>, String> {
+) -> Result<(JobOutcome, OptimizationResult), String> {
     let mut spec = CircuitSpec::new(request.circuit);
     if let Some(bits) = request.bits {
         spec = spec.bits(bits);
@@ -252,21 +249,16 @@ fn execute(
     // Jobs are single-threaded internally: concurrency comes from the
     // pool, and a sequential run keeps each job's trajectory
     // bit-identical to the same run performed solo.
-    let result = request.method.run_warm_mo_controlled(
-        &evaluator,
-        space,
-        request.budget,
-        request.seed,
-        1,
-        1,
-        None,
-        request.multi_objective,
+    let spec = RunSpec {
+        multi_objective: request.multi_objective,
         warm_start,
-        control,
-    );
-    let Some(result) = result else {
-        return Ok(None);
+        control: control.clone(),
+        ..RunSpec::new(space, request.budget, request.seed)
     };
+    let (result, _) = request
+        .method
+        .run(&spec, &evaluator)
+        .map_err(|e| e.to_string())?;
     if request.transfer {
         evaluator.record_transfer_history(&result.history);
     }
@@ -284,7 +276,7 @@ fn execute(
         quarantined: result.quarantined.len(),
         tier_stats: evaluator.prefix_stats(),
     };
-    Ok(Some((summary, result)))
+    Ok((summary, result))
 }
 
 enum Listener {

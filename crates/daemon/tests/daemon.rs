@@ -6,11 +6,9 @@ use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver};
 use std::time::Duration;
 
-use boils_baselines::Method;
+use boils_baselines::{Method, RunSpec};
 use boils_circuits::{Benchmark, CircuitSpec};
-use boils_core::{
-    JobId, Objective, OptimizationResult, Priority, QorEvaluator, RunControl, SequenceSpace,
-};
+use boils_core::{JobId, Objective, OptimizationResult, Priority, QorEvaluator, SequenceSpace};
 use boils_daemon::{Client, Daemon, DaemonConfig, Event, JobOutcome, JobRequest, Server, Value};
 
 const BITS: usize = 4;
@@ -74,19 +72,18 @@ fn solo_run(req: &JobRequest) -> OptimizationResult {
     let evaluator = QorEvaluator::new(&aig)
         .expect("benchmark circuit")
         .with_objective(req.objective);
-    req.method
-        .run_mo_controlled(
-            &evaluator,
+    let spec = RunSpec {
+        multi_objective: req.multi_objective,
+        ..RunSpec::new(
             SequenceSpace::new(req.sequence_length, 11),
             req.budget,
             req.seed,
-            1,
-            1,
-            None,
-            req.multi_objective,
-            &RunControl::new(),
         )
+    };
+    req.method
+        .run(&spec, &evaluator)
         .expect("uncontrolled run completes")
+        .0
 }
 
 fn assert_same_trajectory(a: &OptimizationResult, b: &OptimizationResult) {

@@ -122,6 +122,86 @@ fn optimize_runs_a_small_budget() {
 }
 
 #[test]
+fn optimize_runs_the_a2c_method() {
+    let out = boils()
+        .args([
+            "optimize",
+            "--circuit",
+            "max",
+            "--bits",
+            "4",
+            "--budget",
+            "8",
+            "--k",
+            "4",
+            "--method",
+            "a2c",
+        ])
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("method        : a2c"), "output: {text}");
+    assert!(text.contains("evaluations   : 8"), "output: {text}");
+    // Only the BO methods report a surrogate.
+    assert!(!text.contains("surrogate     :"), "output: {text}");
+}
+
+#[test]
+fn optimize_rejects_an_unknown_method_listing_the_valid_ids() {
+    let out = boils()
+        .args([
+            "optimize",
+            "--circuit",
+            "max",
+            "--bits",
+            "4",
+            "--method",
+            "rl",
+        ])
+        .output()
+        .expect("spawn");
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown method \"rl\""), "stderr: {err}");
+    for id in [
+        "ppo", "a2c", "graphrl", "ga", "rs", "greedy", "sbo", "boils",
+    ] {
+        assert!(err.contains(id), "{id} missing from: {err}");
+    }
+}
+
+#[test]
+fn optimize_rejects_a_zero_budget_or_sequence_length() {
+    for (flag, message) in [
+        ("--budget", "--budget takes a positive evaluation count"),
+        ("--k", "--k takes a positive sequence length"),
+    ] {
+        let out = boils()
+            .args([
+                "optimize",
+                "--circuit",
+                "max",
+                "--bits",
+                "4",
+                "--method",
+                "rs",
+                flag,
+                "0",
+            ])
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(1), "{flag} 0 must fail cleanly");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(message), "stderr: {err}");
+    }
+}
+
+#[test]
 fn optimize_with_a_surrogate_window_reports_the_lifecycle() {
     let out = boils()
         .args([
